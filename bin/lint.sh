@@ -25,11 +25,13 @@
 #                                and a schema-valid metrics snapshot.
 #   bin/lint.sh simplex-check -- LP-core gate only: the sparse-LU
 #                                property suite (L·U=P·B, ftran/btran,
-#                                update-vs-refactor), the simplex
-#                                fixtures, and a 50-instance mini
-#                                differential (sparse vs frozen dense
-#                                reference, warm vs cold) at the pinned
-#                                seed.
+#                                update-vs-refactor, refactor triggers),
+#                                the allocation bound (a cold solve plus
+#                                a warm child within 4·m minor words per
+#                                pivot), the simplex fixtures, and a
+#                                50-instance mini differential (sparse
+#                                vs frozen dense reference, warm vs
+#                                cold) at the pinned seed.
 #   bin/lint.sh concheck      -- concurrency gate only: exhaust the
 #                                interleaving scenarios and race-detect
 #                                an instrumented 2-worker solve on the
@@ -222,16 +224,17 @@ EOF
 }
 
 simplex_check() {
-    echo "== simplex-check (LU properties, fixtures, 50-instance mini differential)"
+    echo "== simplex-check (LU properties, allocation, fixtures, 50-instance mini differential)"
     seed="${RFLOOR_TEST_SEED:-2015}"
     RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- test simplex_core.lu
+    RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- test simplex_core.alloc
     RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- test milp.simplex
     # cases 3-5 of the differential suite are the LP-core trio (sparse
     # vs dense reference, warm child re-solves, cold-vs-warm B&B);
     # RFLOOR_SIMPLEX_DIFF=50 shrinks them to a smoke-sized sample
     RFLOOR_TEST_SEED="$seed" RFLOOR_SIMPLEX_DIFF=50 \
         dune exec test/test_main.exe -- test differential 3-5
-    echo "simplex-check passed (properties, fixtures, mini differential at seed $seed)"
+    echo "simplex-check passed (properties, allocation, fixtures, mini differential at seed $seed)"
 }
 
 portfolio_check() {

@@ -1,14 +1,19 @@
 (** Sparse LU factorization of a simplex basis, with a product-form
     update file.
 
-    [factor] computes a left-looking (Gilbert–Peierls style) sparse LU
-    with partial pivoting of the basis matrix [B] whose column [j] is
-    the constraint column of the variable basic in position [j]:
-    [L·U = P·B] for a row permutation [P].  After a pivot the
-    factorization is extended with a product-form eta instead of being
-    recomputed ({!update}); {!needs_refactor} reports when the eta file
-    has grown past its cap, accumulated fill, or absorbed a pivot too
-    small to be trusted — the caller then refactorizes from scratch.
+    [factor] computes a left-looking sparse LU with partial pivoting of
+    the basis matrix [B] whose column [j] is the constraint column of
+    the variable basic in position [j]: [L·U = P·B] for a row
+    permutation [P].  There is no column ordering and no reach search:
+    each column is eliminated by scanning every earlier pivot step, so
+    one factorization costs O(m²) step checks plus the numeric work.
+    [L], [U] and the eta file are flat compressed-column arrays (one
+    start, index and value array each), so the solves allocate
+    nothing.  After a pivot the factorization is extended with a
+    product-form eta instead of being recomputed ({!update});
+    {!needs_refactor} reports when the eta file has grown past its cap,
+    accumulated fill, or absorbed a pivot too small to be trusted — the
+    caller then refactorizes from scratch.
 
     Vector index conventions (dimension [m] throughout):
     - {!ftran} solves [B·w = b]: input indexed by original row, result
@@ -55,10 +60,14 @@ val fill : t -> int
 val unstable : t -> bool
 (** True once some eta pivot was small enough to endanger accuracy. *)
 
+val base_eta_cap : int
+(** Default cap on product-form updates between refactorizations (64). *)
+
 val needs_refactor : ?cap:int -> t -> bool
 (** True when the update file is no longer trustworthy or economical:
-    [eta_count >= cap] (default 64), eta fill has outgrown the factor
-    fill, or some eta pivot was dangerously small. *)
+    [eta_count >= cap] (default {!base_eta_cap}), eta fill (stored eta
+    nonzeros) exceeds [4 × (fill + m)], or some eta pivot was
+    dangerously small. *)
 
 (** {2 Test accessors}
 

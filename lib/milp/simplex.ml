@@ -34,7 +34,6 @@ let dual_eps = 1e-7
 let pivot_eps = 1e-9
 let harris_tol = 1e-8 (* pass-one bound relaxation of the ratio test *)
 let bland_after = 400 (* consecutive degenerate pivots before Bland's rule *)
-let base_eta_cap = 64 (* product-form updates between refactorizations *)
 let devex_reset = 1e8 (* weight blow-up that resets the reference frame *)
 let warm_dual_tol = 1e-6 (* dual infeasibility accepted at warm install *)
 
@@ -64,11 +63,15 @@ let instruments reg =
 module P = struct
   (* Columns are laid out as: structural vars [0, n), slacks [n, n+m),
      artificials [n+m, n+2m).  Slack and artificial columns are unit
-     vectors and never stored explicitly. *)
+     vectors and never stored explicitly.  Structural column j is flat
+     CSC: rows col_idx and coefficients col_val over
+     [col_start.(j), col_start.(j+1)), in constraint order. *)
   type t = {
     n : int;
     m : int;
-    cols : (int * float) array array; (* structural sparse columns *)
+    col_start : int array; (* length n + 1 *)
+    col_idx : int array;
+    col_val : float array;
     cost : float array; (* minimization costs for structural vars *)
     dir : Lp.dir;
     obj_constant : float;
@@ -88,7 +91,22 @@ module P = struct
     Lp.iter_constrs lp (fun i terms _ rhs ->
         b.(i) <- rhs;
         List.iter (fun (c, v) -> cols_acc.(v) <- (i, c) :: cols_acc.(v)) terms);
-    let cols = Array.map (fun l -> Array.of_list (List.rev l)) cols_acc in
+    let col_start = Array.make (n + 1) 0 in
+    for v = 0 to n - 1 do
+      col_start.(v + 1) <- col_start.(v) + List.length cols_acc.(v)
+    done;
+    let col_idx = Array.make col_start.(n) 0 in
+    let col_val = Array.make col_start.(n) 0. in
+    (* each accumulator list is newest first: fill its slice backwards *)
+    Array.iteri
+      (fun v l ->
+        List.iteri
+          (fun k (r, c) ->
+            let p = col_start.(v + 1) - 1 - k in
+            col_idx.(p) <- r;
+            col_val.(p) <- c)
+          l)
+      cols_acc;
     let dir = Lp.objective_dir lp in
     let sign = match dir with Lp.Minimize -> 1. | Lp.Maximize -> -1. in
     let cost = Array.init n (fun v -> sign *. Lp.objective_coeff lp v) in
@@ -109,7 +127,19 @@ module P = struct
         lb0.(n + i) <- l;
         ub0.(n + i) <- u);
     (* artificial bounds are set per-solve from the initial residual *)
-    { n; m; cols; cost; dir; obj_constant = Lp.objective_constant lp; b; lb0; ub0 }
+    {
+      n;
+      m;
+      col_start;
+      col_idx;
+      col_val;
+      cost;
+      dir;
+      obj_constant = Lp.objective_constant lp;
+      b;
+      lb0;
+      ub0;
+    }
 end
 
 module Basis = struct
@@ -143,10 +173,35 @@ type state = {
   t_worker : int;
 }
 
+(* Column access.  The hot loops below read the flat columns directly
+   and handle unit columns inline; [@inline] keeps their float
+   arguments and results unboxed at every call site, so pricing, the
+   devex row and the ratio scans allocate nothing per column. *)
+
+(* Row of the unit column [j >= n] (slack or artificial). *)
+let[@inline] unit_row core j =
+  if j < core.P.n + core.P.m then j - core.P.n else j - core.P.n - core.P.m
+
+(* The {!Lu.factor} callback: [f row coef] for every nonzero of [j]. *)
 let col_iter st j f =
-  let n = st.core.P.n in
-  if j < n then Array.iter (fun (r, c) -> f r c) st.core.P.cols.(j)
-  else f (if j < n + st.core.P.m then j - n else j - n - st.core.P.m) 1.
+  let core = st.core in
+  if j < core.P.n then
+    for p = core.P.col_start.(j) to core.P.col_start.(j + 1) - 1 do
+      f core.P.col_idx.(p) core.P.col_val.(p)
+    done
+  else f (unit_row core j) 1.
+
+(* r := r - xj * column j *)
+let[@inline] sub_col core r j xj =
+  if j < core.P.n then
+    for p = core.P.col_start.(j) to core.P.col_start.(j + 1) - 1 do
+      let i = core.P.col_idx.(p) in
+      r.(i) <- r.(i) -. (core.P.col_val.(p) *. xj)
+    done
+  else begin
+    let i = unit_row core j in
+    r.(i) <- r.(i) -. xj
+  end
 
 exception Singular_basis
 
@@ -158,7 +213,7 @@ let factorize st reason =
   match Lu.factor ~m:st.core.P.m (col_iter st) st.basis with
   | lu ->
     st.lu <- lu;
-    st.ecap <- base_eta_cap;
+    st.ecap <- Lu.base_eta_cap;
     count_factor st reason
   | exception Lu.Singular -> raise Singular_basis
 
@@ -167,8 +222,8 @@ let compute_basics st =
   let m = st.core.P.m in
   let r = Array.copy st.core.P.b in
   for j = 0 to st.total - 1 do
-    if st.basic_row.(j) < 0 && st.x.(j) <> 0. then
-      col_iter st j (fun i c -> r.(i) <- r.(i) -. (c *. st.x.(j)))
+    let xj = st.x.(j) in
+    if st.basic_row.(j) < 0 && xj <> 0. then sub_col st.core r j xj
   done;
   Lu.ftran st.lu r;
   for i = 0 to m - 1 do
@@ -185,14 +240,20 @@ let maybe_refactor st =
   if Lu.needs_refactor ~cap:st.ecap st.lu then begin
     let reason = if Lu.unstable st.lu then "stability" else "periodic" in
     try refactor st reason
-    with Singular_basis -> st.ecap <- Lu.eta_count st.lu + base_eta_cap
+    with Singular_basis -> st.ecap <- Lu.eta_count st.lu + Lu.base_eta_cap
   end
 
 (* w := B^-1 * column j *)
 let ftran st j =
-  Array.fill st.w 0 st.core.P.m 0.;
-  col_iter st j (fun r c -> st.w.(r) <- st.w.(r) +. c);
-  Lu.ftran st.lu st.w
+  let core = st.core and w = st.w in
+  Array.fill w 0 core.P.m 0.;
+  if j < core.P.n then
+    for p = core.P.col_start.(j) to core.P.col_start.(j + 1) - 1 do
+      let r = core.P.col_idx.(p) in
+      w.(r) <- w.(r) +. core.P.col_val.(p)
+    done
+  else w.(unit_row core j) <- 1.;
+  Lu.ftran st.lu w
 
 (* y := (B^-1)^T * cost_B, original-row indexed *)
 let btran_costs st =
@@ -209,15 +270,29 @@ let pivot_row st r =
   st.rho.(r) <- 1.;
   Lu.btran st.lu st.rho
 
-let reduced_cost st j =
-  let d = ref st.cost.(j) in
-  col_iter st j (fun r c -> d := !d -. (st.y.(r) *. c));
-  !d
+let[@inline] reduced_cost st j =
+  let core = st.core in
+  if j < core.P.n then begin
+    let y = st.y and idx = core.P.col_idx and vals = core.P.col_val in
+    let d = ref st.cost.(j) in
+    for p = core.P.col_start.(j) to core.P.col_start.(j + 1) - 1 do
+      d := !d -. (y.(idx.(p)) *. vals.(p))
+    done;
+    !d
+  end
+  else st.cost.(j) -. st.y.(unit_row core j)
 
-let row_coef st j =
-  let a = ref 0. in
-  col_iter st j (fun r c -> a := !a +. (st.rho.(r) *. c));
-  !a
+let[@inline] row_coef st j =
+  let core = st.core in
+  if j < core.P.n then begin
+    let rho = st.rho and idx = core.P.col_idx and vals = core.P.col_val in
+    let a = ref 0. in
+    for p = core.P.col_start.(j) to core.P.col_start.(j + 1) - 1 do
+      a := !a +. (rho.(idx.(p)) *. vals.(p))
+    done;
+    !a
+  end
+  else 0. +. st.rho.(unit_row core j) (* as summed: a -0. entry reads +0. *)
 
 (* Devex reference-framework weight update after a basis change: [q]
    enters, position [r] leaves, [arq] is the pivot element.  Uses the
@@ -246,42 +321,32 @@ let devex_update st r q arq =
 let price st ~bland =
   btran_costs st;
   let best = ref (-1) and best_sigma = ref 1. and best_score = ref 0. in
-  let consider j =
+  (* Bland mode stops at the first improving index *)
+  let next = ref 0 in
+  while !next < st.total && ((not bland) || !best < 0) do
+    let j = !next in
+    incr next;
     if st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
       let d = reduced_cost st j in
       let at_lb = st.x.(j) <= st.lb.(j) +. feas_eps in
       let at_ub = st.x.(j) >= st.ub.(j) -. feas_eps in
       let free = (not at_lb) && not at_ub in
-      let improving_dir =
-        if (at_lb || free) && d < -.dual_eps then Some 1.
-        else if (at_ub || free) && d > dual_eps then Some (-1.)
-        else None
+      (* improving direction; 0. when there is none *)
+      let sigma =
+        if (at_lb || free) && d < -.dual_eps then 1.
+        else if (at_ub || free) && d > dual_eps then -1.
+        else 0.
       in
-      match improving_dir with
-      | None -> false
-      | Some sigma ->
+      if sigma <> 0. then begin
         let score = if bland then 1. else d *. d /. st.dw.(j) in
         if !best < 0 || score > !best_score then begin
           best := j;
           best_sigma := sigma;
-          best_score := score;
-          true
+          best_score := score
         end
-        else false
+      end
     end
-    else false
-  in
-  if bland then begin
-    try
-      for j = 0 to st.total - 1 do
-        if consider j then raise Exit
-      done
-    with Exit -> ()
-  end
-  else
-    for j = 0 to st.total - 1 do
-      ignore (consider j)
-    done;
+  done;
   if !best < 0 then None else Some (!best, !best_sigma)
 
 type step = Step_ok | Step_unbounded
@@ -519,7 +584,7 @@ let make_state ?instr ?(trace = Rfloor_trace.disabled) ?(worker = 0) core wlb
     rho = Array.make m 0.;
     dw = Array.make total 1.;
     iters = 0;
-    ecap = base_eta_cap;
+    ecap = Lu.base_eta_cap;
     degen_streak = 0;
     instr;
     trace;
@@ -565,8 +630,8 @@ let solve_core ?max_iters ?lb ?ub ?basis_sink ?snapshot_sink ?instr
        phase-1 costs *)
     let resid = Array.copy core.P.b in
     for j = 0 to n + m - 1 do
-      if st.x.(j) <> 0. then
-        col_iter st j (fun r c -> resid.(r) <- resid.(r) -. (c *. st.x.(j)))
+      let xj = st.x.(j) in
+      if xj <> 0. then sub_col core resid j xj
     done;
     let need_phase1 = ref false in
     for i = 0 to m - 1 do

@@ -254,6 +254,119 @@ let test_singular_detected () =
   | _ -> Alcotest.fail "rank-1 basis factored"
   | exception Lu.Singular -> ()
 
+(* A hand-factored 3×3 arrow basis: columns {0:4, 1:1, 2:1}, {0:1, 1:4}
+   and {0:1, 2:4} (7 nonzeros).  Elimination creates one L and one U
+   fill-in, so L holds 2 + 1 multipliers, U holds 0 + 1 + 2 entries and
+   the diagonal 3: fill = 9. *)
+let arrow_cols =
+  [| [| (0, 4.); (1, 1.); (2, 1.) |]; [| (0, 1.); (1, 4.) |]; [| (0, 1.); (2, 4.) |] |]
+
+let test_needs_refactor_eta_fill () =
+  let lu = factor_cols arrow_cols in
+  Alcotest.(check int) "fill by hand" 9 (Lu.fill lu);
+  Alcotest.(check int) "fresh eta count" 0 (Lu.eta_count lu);
+  (* fill trigger: eta fill > 4 * (fill + m) = 48 stored eta nonzeros *)
+  let spike r =
+    let w = [| 0.5; -2.; 1.5 |] in
+    w.(r) <- 1.;
+    w
+  in
+  for k = 1 to 16 do
+    Lu.update lu (k mod 3) (spike (k mod 3));
+    Alcotest.(check bool)
+      (Printf.sprintf "%d dense etas (%d nonzeros) within budget" k (3 * k))
+      false (Lu.needs_refactor lu)
+  done;
+  Lu.update lu 0 (spike 0);
+  Alcotest.(check int) "eta count by hand" 17 (Lu.eta_count lu);
+  Alcotest.(check bool) "51 eta nonzeros trip the fill trigger" true
+    (Lu.needs_refactor lu);
+  Alcotest.(check bool) "well below the count cap" false
+    (Lu.eta_count lu >= Lu.base_eta_cap);
+  Alcotest.(check bool) "no unstable pivot" false (Lu.unstable lu);
+  Alcotest.(check int) "factor fill unchanged by updates" 9 (Lu.fill lu);
+  (* entries at or below the drop tolerance are not stored: two
+     nonzeros per eta, so the trigger moves out to the 25th update *)
+  let lu = factor_cols arrow_cols in
+  for k = 1 to 24 do
+    Lu.update lu 1 [| 1e-14; 1.; -3. |];
+    Alcotest.(check bool)
+      (Printf.sprintf "%d sparse etas within budget" k)
+      false (Lu.needs_refactor lu)
+  done;
+  Lu.update lu 1 [| 1e-14; 1.; -3. |];
+  Alcotest.(check bool) "50 eta nonzeros trip the fill trigger" true
+    (Lu.needs_refactor lu)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation per pivot *)
+
+(* The smallest seeded floorplanning relaxation (random columnar device,
+   relocation spec) with at least [min_rows] rows among [tries] draws. *)
+let seeded_lp ~min_rows base tries =
+  let rec go i best =
+    if i >= tries then best
+    else begin
+      let prng = Prng.make (Generators.case_seed base i) in
+      let part = Generators.random_partition prng in
+      let spec = Generators.random_reloc_spec prng part in
+      let lp = Rfloor.Model.lp (Rfloor.Model.build part spec) in
+      let m = Lp.num_constrs lp in
+      let best =
+        match best with
+        | Some b when Lp.num_constrs b <= m -> best
+        | _ when m >= min_rows -> Some lp
+        | _ -> best
+      in
+      go (i + 1) best
+    end
+  in
+  match go 0 None with
+  | Some lp -> lp
+  | None -> Alcotest.failf "no seeded LP with >= %d rows in %d draws" min_rows tries
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
+
+(* A cold solve plus a warm child after one bound flip must stay within
+   4·m minor words per pivot in total: the pivot loop allocates nothing
+   per column or per nonzero, only per pivot and per refactorization.
+   A warm child may finish in a couple of pivots, so its per-solve
+   set-up is amortized over both solves. *)
+let test_alloc_per_pivot () =
+  let lp = seeded_lp ~min_rows:200 (Generators.base_seed () + 5150) 40 in
+  let core = Simplex.Core.of_lp lp in
+  let m = Simplex.Core.num_rows core and n = Simplex.Core.num_vars core in
+  let cold, cold_words = minor_words (fun () -> Simplex.Core.solve core) in
+  if cold.Simplex.status <> Simplex.Optimal then
+    Alcotest.fail "seeded relaxation is not LP-optimal";
+  (* branch on the most fractional variable: child ub := floor x *)
+  let _, snap = Simplex.Core.solve_warm core in
+  let frac v = let x = cold.Simplex.x.(v) in abs_float (x -. Float.round x) in
+  let v = ref 0 in
+  for i = 1 to n - 1 do
+    if frac i > frac !v then v := i
+  done;
+  let lb = Array.init n (Lp.var_lb lp) and ub = Array.init n (Lp.var_ub lp) in
+  let x = cold.Simplex.x.(!v) in
+  if frac !v > 1e-6 then ub.(!v) <- floor x
+  else if x -. 1. >= lb.(!v) then ub.(!v) <- x -. 1.
+  else lb.(!v) <- x +. 1.;
+  let (child, _), child_words =
+    minor_words (fun () -> Simplex.Core.solve_warm ~lb ~ub ?warm:snap core)
+  in
+  let pivots = cold.Simplex.iterations + child.Simplex.iterations in
+  if pivots = 0 then Alcotest.fail "no pivots to measure";
+  let per = (cold_words +. child_words) /. float_of_int pivots in
+  if per > 4. *. float_of_int m then
+    Alcotest.failf
+      "%.0f minor words per pivot > 4m = %d (m=%d; cold %d pivots, %.0f words; \
+       warm child %d pivots, %.0f words)"
+      per (4 * m) m cold.Simplex.iterations cold_words child.Simplex.iterations
+      child_words
+
 let suites =
   [
     ( "simplex_core.lu",
@@ -268,5 +381,12 @@ let suites =
           test_needs_refactor_cap;
         Alcotest.test_case "singular bases are rejected" `Quick
           test_singular_detected;
+        Alcotest.test_case "eta fill trips needs_refactor before the cap"
+          `Quick test_needs_refactor_eta_fill;
+      ] );
+    ( "simplex_core.alloc",
+      [
+        Alcotest.test_case "cold + warm child solves within 4m words/pivot"
+          `Quick test_alloc_per_pivot;
       ] );
   ]
