@@ -114,13 +114,14 @@ let run_benches () =
 
 (* Parallel branch-and-bound on the paper's evaluation workload: the
    FX70T relocation instance (SDR with 2 requested free-compatible
-   areas per relocatable region), stage-1 objective.  Sequential and
-   parallel runs get the same node budget, so when both exhaust it the
+   areas per relocatable region), stage-1 objective.  The same engine
+   runs on one worker (the sequential search) and on W workers; both
+   runs get the same node budget, so when both exhaust it the
    wall-clock ratio is a direct speedup; if a run stops early (time
    limit, or optimality first) the node-throughput ratio is reported,
    which degenerates to the same number under equal node counts. *)
 let run_parallel_speedup ?(trace_mode = `Off) ?metrics_registry () =
-  let workers = max 4 (Milp.Parallel_bb.workers_from_env ()) in
+  let workers = max 4 (Milp.Branch_bound.workers_from_env ()) in
   let budget = Reports.budget () in
   Printf.printf
     "\n==== parallel branch-and-bound (FX70T relocation instance, sdr2) ====\n%!";
@@ -174,12 +175,12 @@ let run_parallel_speedup ?(trace_mode = `Off) ?metrics_registry () =
       lp
   in
   let seq =
-    Milp.Branch_bound.solve ~options:{ opts with trace = tracer_seq } lp
+    Milp.Branch_bound.solve ~options:{ opts with trace = tracer_seq }
+      ~workers:1 lp
   in
   let par =
-    Milp.Parallel_bb.solve
-      ~options:{ opts with trace = tracer_par }
-      ~workers lp
+    Milp.Branch_bound.solve ~options:{ opts with trace = tracer_par } ~workers
+      lp
   in
   let show label (r : Milp.Branch_bound.result) =
     Printf.printf "  %-12s nodes %5d  simplex iters %8d  elapsed %6.2fs\n%!"

@@ -240,8 +240,8 @@ simplex_check() {
 portfolio_check() {
     echo "== portfolio-check (strategy grammar, cut differential, race cancellation)"
     seed="${RFLOOR_TEST_SEED:-2015}"
-    # 1. Strategy round-trips, RF502 parse errors, deprecated sugar,
-    #    RF501 member-budget clamp
+    # 1. Strategy round-trips, RF502 parse errors, RF501 member-budget
+    #    clamp
     RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- \
         test portfolio.strategy
     # 2. the symmetry/packing cut families never change a proved

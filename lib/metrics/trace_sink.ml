@@ -35,7 +35,10 @@ let sink reg =
         ~buckets:[| 1e-5; 1e-4; 1e-3; 0.01; 0.1; 1.; 10. |]
         "rfloor_steal_latency_seconds"
     in
-    let cuts = counter ~help:"Gomory cuts added" "rfloor_cuts_total" in
+    let cuts =
+      counter ~help:"Cut rows added (model-build symmetry/packing and root Gomory)"
+        "rfloor_cuts_total"
+    in
     let idle = counter ~help:"Worker idle transitions" "rfloor_idle_total" in
     let restarts =
       counter ~help:"Optimization stage restarts" "rfloor_restarts_total"

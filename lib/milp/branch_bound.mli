@@ -1,10 +1,37 @@
-(** Branch-and-bound for mixed-integer linear programs.
+(** Branch-and-bound for mixed-integer linear programs, on one or
+    more OCaml 5 domains.
 
     LP relaxations are solved with {!Simplex}; branching is on the most
     fractional integer variable (optionally weighted by user priorities),
-    depth-first with best-child-first ordering so feasible incumbents
+    depth-first with nearest-child-first ordering so feasible incumbents
     appear early.  Supports time/node limits, a relative MIP gap, warm
-    incumbents, and lexicographic re-optimization via {!val:solve}. *)
+    incumbents, external bounds and cooperative cancellation.
+
+    One engine serves every worker count.  The open-node frontier is a
+    shared deque of bound overlays on the root LP:
+
+    - the incumbent lives in a single {!Atomic.t} cell updated by a
+      lock-free compare-and-set loop, so every worker prunes against
+      the globally best primal bound;
+    - an open subproblem is a pair of full lower/upper-bound arrays
+      over the root LP; the preprocessed {!Simplex.Core} is immutable
+      and shared read-only by all domains;
+    - each worker dives depth-first on a private stack and, when
+      [workers > 1], donates the shallowest (largest) subtrees to the
+      deque whenever it runs short — work stealing with the donor
+      paying the transfer;
+    - termination is cooperative: workers exit when the deque is empty
+      and no worker is mid-dive, or when a proven gap / time limit /
+      node limit / [options.cancel] token fires (open nodes go back to
+      the deque so the reported dual bound stays sound, and a single
+      [Stopped] trace event is emitted for the whole pool).
+
+    With one worker (the default) nothing is donated and no domain is
+    spawned: the root claim dives the whole tree, so the search, its
+    node and pivot counts and its incumbent are deterministic.  Above
+    one worker node counts and which optimal solution is returned vary
+    run to run; the status and objective value do not (within
+    [mip_gap]). *)
 
 type status =
   | Optimal  (** incumbent proven optimal (within the MIP gap) *)
@@ -27,8 +54,8 @@ type result = {
   simplex_iterations : int;
   elapsed : float;
       (** Wall-clock seconds ([Unix.gettimeofday]-based).  Wall clock —
-          not CPU time — so that a parallel run ({!Parallel_bb}) reports
-          the time the caller actually waited.  Sampled exactly once
+          not CPU time — so that a multi-worker run reports the time
+          the caller actually waited.  Sampled exactly once
           against this call's own start and clamped non-negative, so a
           node handed back by a cooperative stop can never be charged
           twice. *)
@@ -90,10 +117,23 @@ val no_external_bound : unit -> float
 val default_options : options
 
 val solve :
-  ?options:options -> ?worker:int -> ?incumbent:float array -> Lp.t -> result
-(** [solve lp] optimizes the MILP.  [incumbent], if given, must be an
-    integer-feasible assignment; it seeds the primal bound.  [worker]
-    (default 0) tags this solve's trace events and per-worker totals. *)
+  ?options:options -> ?workers:int -> ?incumbent:float array -> Lp.t -> result
+(** [solve ~workers lp] optimizes the MILP with [workers] domains
+    (default 1: the sequential search, no spawns; values below 1 count
+    as 1).  [incumbent], if given, must be an integer-feasible
+    assignment; it seeds the primal bound.  [options.trace] events
+    carry the emitting worker's id; per-worker node and
+    simplex-iteration totals are flushed to the tracer after the joins.
+    Root Gomory cuts ([options.gomory_rounds]) are generated once on
+    the root model before workers start.  [nodes] and
+    [simplex_iterations] are summed across workers. *)
+
+val workers_from_env : ?default:int -> ?trace:Rfloor_trace.t -> unit -> int
+(** Worker count from the [RFLOOR_WORKERS] environment variable.
+    A parsable but non-positive value (["0"], ["-2"]) is clamped to 1;
+    an unparsable value (["abc"]) falls back to [default] (1); both emit
+    a [Warning] event on [trace] (default {!Rfloor_trace.disabled}).
+    Shared by [bin/rfloor_cli] and [bench/main]. *)
 
 val objective_key : Lp.dir -> float -> float
 (** Normalizes an objective value to minimization order (used by callers
@@ -103,5 +143,5 @@ val lp_histograms :
   Rfloor_metrics.Registry.t ->
   Rfloor_metrics.Registry.Histogram.t * Rfloor_metrics.Registry.Histogram.t
 (** [(iterations_per_lp, lp_seconds)] profiling handles for per-LP
-    observations — shared with {!Parallel_bb} so sequential and
-    parallel solves feed the same series. *)
+    observations — registered once per solve and shared by all of its
+    workers. *)

@@ -170,7 +170,7 @@ module Report : sig
     simplex_iterations : int;
     elapsed : float;
     incumbents : int;  (** incumbent improvements *)
-    cuts : int;  (** Gomory cuts added at the root *)
+    cuts : int;  (** cut rows added: model-build and root Gomory *)
     steal_attempts : int;
     steal_successes : int;
     tasks_donated : int;  (** subproblems pushed to the shared deque *)

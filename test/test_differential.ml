@@ -1,10 +1,10 @@
 (* Randomized differential tests.
 
-   Sequential {!Branch_bound} vs {!Parallel_bb} across worker counts,
-   presolved vs raw solves, and end-to-end floorplans re-checked by the
-   independent {!Rfloor_analysis.Solution_audit}.  Every failure message
-   leads with the case seed: re-export it as RFLOOR_TEST_SEED to replay
-   the exact instance. *)
+   The frozen sequential {!Reference_bb} vs {!Branch_bound} across
+   worker counts, presolved vs raw solves, and end-to-end floorplans
+   re-checked by the independent {!Rfloor_analysis.Solution_audit}.
+   Every failure message leads with the case seed: re-export it as
+   RFLOOR_TEST_SEED to replay the exact instance. *)
 
 open Milp
 module G = Generators
@@ -17,7 +17,7 @@ let status_name = function
   | Bb.Unbounded -> "Unbounded"
   | Bb.Unknown -> "Unknown"
 
-(* Both solvers prune within the relative MIP gap (default 1e-6), so on
+(* Both engines prune within the relative MIP gap (default 1e-6), so on
    these O(100)-objective instances agreement must be far tighter than
    this. *)
 let obj_tol = 1e-4
@@ -34,39 +34,41 @@ let check_incumbent ~seed ~what lp (obj, x) =
 let check_case seed =
   let case = G.milp_case ~seed in
   let lp = case.G.c_lp in
-  let seq = Bb.solve lp in
-  (* known-optimal families: the sequential solver must hit the optimum *)
-  (match (case.G.c_optimum, seq.Bb.status, seq.Bb.incumbent) with
+  let seq = Reference_bb.solve lp in
+  (* known-optimal families: the reference solver must hit the optimum *)
+  (match (case.G.c_optimum, seq.Reference_bb.status, seq.Reference_bb.incumbent) with
   | Some opt, Bb.Optimal, Some (obj, _) ->
     if Float.abs (obj -. opt) > obj_tol then
-      Alcotest.failf "seed %d (%s): sequential objective %.6f, known optimum %.6f"
+      Alcotest.failf "seed %d (%s): reference objective %.6f, known optimum %.6f"
         seed case.G.c_family obj opt
   | Some opt, st, _ ->
-    Alcotest.failf "seed %d (%s): expected Optimal (optimum %.6f), sequential says %s"
+    Alcotest.failf "seed %d (%s): expected Optimal (optimum %.6f), reference says %s"
       seed case.G.c_family opt (status_name st)
   | None, _, _ -> ());
-  Option.iter (check_incumbent ~seed ~what:"sequential" lp) seq.Bb.incumbent;
+  Option.iter (check_incumbent ~seed ~what:"reference" lp) seq.Reference_bb.incumbent;
   List.iter
     (fun w ->
-      let par = Parallel_bb.solve ~workers:w lp in
-      if par.Bb.status <> seq.Bb.status then
-        Alcotest.failf "seed %d (%s): status differs with %d workers: sequential %s, parallel %s"
-          seed case.G.c_family w (status_name seq.Bb.status) (status_name par.Bb.status);
-      (match (seq.Bb.incumbent, par.Bb.incumbent) with
+      let par = Bb.solve ~workers:w lp in
+      if par.Bb.status <> seq.Reference_bb.status then
+        Alcotest.failf "seed %d (%s): status differs with %d workers: reference %s, engine %s"
+          seed case.G.c_family w
+          (status_name seq.Reference_bb.status)
+          (status_name par.Bb.status);
+      (match (seq.Reference_bb.incumbent, par.Bb.incumbent) with
       | Some (a, _), Some (b, _) ->
         if Float.abs (a -. b) > obj_tol then
           Alcotest.failf "seed %d (%s): objective differs with %d workers: %.6f vs %.6f"
             seed case.G.c_family w a b
       | None, None -> ()
       | Some _, None ->
-        Alcotest.failf "seed %d (%s): parallel (%d workers) lost the incumbent"
+        Alcotest.failf "seed %d (%s): engine (%d workers) lost the incumbent"
           seed case.G.c_family w
       | None, Some _ ->
         Alcotest.failf
-          "seed %d (%s): parallel (%d workers) found an incumbent the sequential solver missed"
+          "seed %d (%s): engine (%d workers) found an incumbent the reference missed"
           seed case.G.c_family w);
       Option.iter
-        (check_incumbent ~seed ~what:(Printf.sprintf "parallel(%d workers)" w) lp)
+        (check_incumbent ~seed ~what:(Printf.sprintf "engine(%d workers)" w) lp)
         par.Bb.incumbent)
     (G.worker_counts ())
 
@@ -218,8 +220,8 @@ let test_warm_child_resolves () =
   Alcotest.(check bool) "some warm child re-solves exercised" true (!checked > 0)
 
 (* Whole-tree cold-vs-warm: disabling warm starts must not change what
-   any solver configuration returns, sequential or across the parallel
-   worker matrix. *)
+   the engine returns at any worker count, and both must agree with the
+   frozen reference. *)
 let test_cold_vs_warm_bb () =
   let base = G.base_seed () in
   let cold_opts = { Bb.default_options with Bb.warm_lp = false } in
@@ -227,32 +229,35 @@ let test_cold_vs_warm_bb () =
     let seed = G.case_seed base (7_000 + i) in
     let case = G.milp_case ~seed in
     let lp = case.G.c_lp in
-    let warm = Bb.solve lp in
-    let cold = Bb.solve ~options:cold_opts lp in
-    let check_pair what a b =
-      if a.Bb.status <> b.Bb.status then
-        Alcotest.failf "seed %d (%s): %s: warm status %s, cold status %s" seed
-          case.G.c_family what (status_name a.Bb.status)
-          (status_name b.Bb.status);
-      match (a.Bb.incumbent, b.Bb.incumbent) with
+    let oracle = Reference_bb.solve lp in
+    let check_pair what (sa, ia) (sb, ib) =
+      if sa <> sb then
+        Alcotest.failf "seed %d (%s): %s: status %s vs %s" seed
+          case.G.c_family what (status_name sa) (status_name sb);
+      match (ia, ib) with
       | Some (oa, _), Some (ob, _) ->
         if Float.abs (oa -. ob) > obj_tol then
-          Alcotest.failf "seed %d (%s): %s: warm objective %.6f, cold %.6f"
-            seed case.G.c_family what oa ob
+          Alcotest.failf "seed %d (%s): %s: objective %.6f vs %.6f" seed
+            case.G.c_family what oa ob
       | None, None -> ()
       | _ ->
         Alcotest.failf "seed %d (%s): %s: incumbent presence differs" seed
           case.G.c_family what
     in
-    check_pair "sequential" warm cold;
-    Option.iter (check_incumbent ~seed ~what:"cold sequential" lp)
-      cold.Bb.incumbent;
+    let outcome r = (r.Bb.status, r.Bb.incumbent) in
     List.iter
       (fun w ->
-        let pw = Parallel_bb.solve ~workers:w lp in
-        let pc = Parallel_bb.solve ~workers:w ~options:cold_opts lp in
-        check_pair (Printf.sprintf "parallel(%d) warm vs seq warm" w) warm pw;
-        check_pair (Printf.sprintf "parallel(%d) warm vs cold" w) pw pc)
+        let pw = Bb.solve ~workers:w lp in
+        let pc = Bb.solve ~workers:w ~options:cold_opts lp in
+        check_pair
+          (Printf.sprintf "reference vs %d-worker warm" w)
+          (oracle.Reference_bb.status, oracle.Reference_bb.incumbent)
+          (outcome pw);
+        check_pair (Printf.sprintf "%d-worker warm vs cold" w) (outcome pw)
+          (outcome pc);
+        Option.iter
+          (check_incumbent ~seed ~what:(Printf.sprintf "cold %d-worker" w) lp)
+          pc.Bb.incumbent)
       (G.worker_counts ())
   done
 
@@ -313,7 +318,7 @@ let test_parallel_elapsed_soft () =
   let lp = G.hard_knapsack ~seed in
   let opts = { Bb.default_options with time_limit = Some 30. } in
   let seq = Bb.solve ~options:opts lp in
-  let par = Parallel_bb.solve ~options:opts ~workers:4 lp in
+  let par = Bb.solve ~options:opts ~workers:4 lp in
   (match (seq.Bb.status, par.Bb.status, seq.Bb.incumbent, par.Bb.incumbent) with
   | Bb.Optimal, Bb.Optimal, Some (a, _), Some (b, _) ->
     if Float.abs (a -. b) > obj_tol then
@@ -330,8 +335,9 @@ let test_parallel_elapsed_soft () =
    counters.  For workers in {1, 2, 4}, capture every event in a ring
    buffer and check that (a) Node_explored events sum to result.nodes,
    (b) per-worker event counts match the report's per-worker totals,
-   (c) every span opened by a worker is closed, and (d) the report's
-   headline totals equal the legacy result fields. *)
+   (c) every span opened by a worker is closed, (d) the report's
+   headline totals equal the legacy result fields, and (e) a single
+   worker reports no steal attempts and no idle transitions. *)
 let test_trace_coherence () =
   let seed = G.case_seed (G.base_seed ()) 4_000 in
   let lp = (G.milp_case ~seed).G.c_lp in
@@ -342,7 +348,7 @@ let test_trace_coherence () =
       let opts =
         { Bb.default_options with trace = tracer; node_limit = Some 2_000 }
       in
-      let r = Parallel_bb.solve ~options:opts ~workers lp in
+      let r = Bb.solve ~options:opts ~workers lp in
       let report =
         Rfloor_trace.report tracer ~nodes:r.Bb.nodes
           ~simplex_iterations:r.Bb.simplex_iterations ~elapsed:r.Bb.elapsed
@@ -405,8 +411,34 @@ let test_trace_coherence () =
       Alcotest.(check int) "report.simplex_iterations" r.Bb.simplex_iterations
         report.Rfloor_trace.Report.simplex_iterations;
       Alcotest.(check (float 0.)) "report.elapsed" r.Bb.elapsed
-        report.Rfloor_trace.Report.elapsed)
+        report.Rfloor_trace.Report.elapsed;
+      (* (e) the pool counters stay silent without a pool *)
+      if workers = 1 then begin
+        Alcotest.(check int) "1 worker: no steal attempts" 0
+          report.Rfloor_trace.Report.steal_attempts;
+        Alcotest.(check int) "1 worker: no idle events" 0
+          report.Rfloor_trace.Report.idle_events
+      end)
     [ 1; 2; 4 ]
+
+(* One worker is the sequential search: solving the same MILP twice
+   must explore the same tree and return the same point. *)
+let test_single_worker_deterministic () =
+  let base = G.base_seed () in
+  for i = 0 to 19 do
+    let seed = G.case_seed base (8_000 + i) in
+    let lp = (G.milp_case ~seed).G.c_lp in
+    let a = Bb.solve ~workers:1 lp and b = Bb.solve ~workers:1 lp in
+    let what = Printf.sprintf "seed %d: " seed in
+    Alcotest.(check int) (what ^ "nodes") a.Bb.nodes b.Bb.nodes;
+    Alcotest.(check int)
+      (what ^ "simplex iterations")
+      a.Bb.simplex_iterations b.Bb.simplex_iterations;
+    Alcotest.(check (option (array (float 0.))))
+      (what ^ "incumbent")
+      (Option.map snd a.Bb.incumbent)
+      (Option.map snd b.Bb.incumbent)
+  done
 
 let suites =
   [
@@ -430,5 +462,7 @@ let suites =
           test_parallel_elapsed_soft;
         Alcotest.test_case "trace events cohere with solver counters" `Quick
           test_trace_coherence;
+        Alcotest.test_case "one worker is deterministic on 20 random MILPs"
+          `Quick test_single_worker_deterministic;
       ] );
   ]

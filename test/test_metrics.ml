@@ -235,6 +235,14 @@ let test_solver_populates_metrics () =
     (hist_count "rfloor_lp_solve_seconds" > 0);
   Alcotest.(check bool) "simplex pivots histogram populated" true
     (hist_count "rfloor_simplex_iterations_per_lp" > 0);
+  (* the Solver runs no Gomory round (gomory_rounds = 0), so every cut
+     row the trace fold counts is a model-build row *)
+  let counter name = R.Counter.value (R.counter metrics name) in
+  Alcotest.(check bool) "model-build cut rows counted" true
+    (counter "rfloor_cuts_applied_total" > 0);
+  Alcotest.(check int) "cuts_total = cuts_applied_total without Gomory"
+    (counter "rfloor_cuts_applied_total")
+    (counter "rfloor_cuts_total");
   (* the trace fold ran too: phases were recorded *)
   Alcotest.(check bool) "phase series populated" true
     (List.exists
