@@ -93,6 +93,9 @@ let cuts_entry ~budget (name, cuts) =
   let part = Partition.columnar_exn (Lazy.force reloc_grid) in
   let spec = Lazy.force reloc_spec in
   let metrics = R.create () in
+  let trace =
+    Rfloor_trace.create ~sink:(Rfloor_metrics.Trace_sink.sink metrics) ()
+  in
   let model =
     Rfloor.Model.build
       ~options:
@@ -105,6 +108,8 @@ let cuts_entry ~budget (name, cuts) =
         }
       part spec
   in
+  Rfloor_trace.cuts_added trace ~worker:0 ~rounds:1
+    ~cuts:(Rfloor.Model.cuts_applied model);
   let r =
     Milp.Branch_bound.solve
       ~options:
@@ -112,14 +117,10 @@ let cuts_entry ~budget (name, cuts) =
           Milp.Branch_bound.default_options with
           time_limit = Some budget;
           priorities = Some (Rfloor.Model.branching_priorities model);
-          metrics;
+          trace;
         }
       (Rfloor.Model.lp model)
   in
-  ignore
-    (R.Counter.add
-       (R.counter metrics "rfloor_cuts_applied_total")
-       (Rfloor.Model.cuts_applied model));
   {
     A.e_instance = name;
     e_status =

@@ -133,6 +133,12 @@ let run_parallel_speedup ?(trace_mode = `Off) ?metrics_registry () =
   in
   Fun.protect ~finally:close_sink @@ fun () ->
   let part = Lazy.force fx70t in
+  let metrics =
+    match metrics_registry with
+    | Some reg -> reg  (* shared with --telemetry so /metrics sees the run *)
+    | None -> Rfloor_metrics.Registry.create ()
+  in
+  let sink = Rfloor_trace.Sink.tee sink (Rfloor_metrics.Trace_sink.sink metrics) in
   (* one tracer per run so the phase/worker breakdown of the parallel
      run is not polluted by the sequential baseline *)
   let tracer_seq = Rfloor_trace.create ~sink () in
@@ -151,28 +157,19 @@ let run_parallel_speedup ?(trace_mode = `Off) ?metrics_registry () =
           part Sdr.sdr2)
   in
   let lp = Rfloor.Model.lp model in
-  let metrics =
-    match metrics_registry with
-    | Some reg -> reg  (* shared with --telemetry so /metrics sees the run *)
-    | None -> Rfloor_metrics.Registry.create ()
-  in
   let opts =
     {
       Milp.Branch_bound.default_options with
       time_limit = Some budget;
       node_limit = Some 400;
       priorities = Some (Rfloor.Model.branching_priorities model);
-      metrics;
     }
   in
   (* cold baseline for the warm-start pivot comparison: same tree, no
-     parent-basis dual re-solves, and its own registry so the counters
+     parent-basis dual re-solves, and no tracer, so the counters
      printed below belong to the warm runs only *)
   let cold =
-    Milp.Branch_bound.solve
-      ~options:
-        { opts with warm_lp = false; metrics = Rfloor_metrics.Registry.null }
-      lp
+    Milp.Branch_bound.solve ~options:{ opts with warm_lp = false } lp
   in
   let seq =
     Milp.Branch_bound.solve ~options:{ opts with trace = tracer_seq }
@@ -273,7 +270,7 @@ let run_portfolio_bench () =
       | Rfloor.Solver.Infeasible -> "infeasible"
       | Rfloor.Solver.Unknown -> "unknown")
       o.Rfloor.Solver.nodes o.Rfloor.Solver.elapsed
-      (counter metrics "rfloor_cuts_applied_total")
+      (counter metrics "rfloor_cuts_total")
   in
   let alone = solve milp2 in
   let raced = solve portfolio in

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Tier-1 gate: warning-free compilation, the test suite, and a clean
-# lint of the SDR case study on the FX70T device (exit 1 on any
-# Error-severity RFxxx finding).
+# Tier-1 gate: warning-free compilation, the test suite, a clean lint
+# of the SDR case study on the FX70T device (exit 1 on any
+# Error-severity RFxxx finding), and one lib/ file per quoted
+# "rfloor_*" metric name.
 #
 #   bin/lint.sh               -- the full gate
 #   bin/lint.sh test-matrix   -- the test suite only, once per worker
@@ -11,8 +12,11 @@
 #                                the same instances on every axis
 #   bin/lint.sh trace-check   -- tracing gate only: solve a pinned tiny
 #                                instance with --trace jsonl, validate
-#                                the capture, and check the result is
-#                                byte-identical with tracing off
+#                                the capture and the --metrics json
+#                                snapshot (LP series present, no
+#                                rfloor_trace_lp_* left), and check the
+#                                result is byte-identical with tracing
+#                                off
 #   bin/lint.sh bench-smoke   -- bench-artifact gate only: run the quick
 #                                (mini-device) bench set on a 2s budget,
 #                                validate the artifact and require a
@@ -91,6 +95,22 @@ bench_smoke() {
     echo "bench-smoke passed (artifact valid, self-compare clean)"
 }
 
+# one definition per metric: a quoted "rfloor_..." series name may
+# appear in one file under lib/ only
+metric_names() {
+    echo "== metric-names (each rfloor_* literal defined in one lib/ file)"
+    dups=$(grep -roE '"rfloor_[a-z0-9_]+"' lib | sort -u | cut -d: -f2 \
+        | sort | uniq -d)
+    if [ -n "$dups" ]; then
+        echo "metric-names: these metric names are spelled out in more than one lib/ file:" >&2
+        for name in $dups; do
+            echo "  $name: $(grep -rlF "$name" lib | tr '\n' ' ')" >&2
+        done
+        exit 1
+    fi
+    echo "metric-names passed"
+}
+
 trace_check() {
     echo "== trace-check (tiny pinned instance, milp, 2 workers)"
     tmp=$(mktemp -d)
@@ -107,14 +127,23 @@ net filter decoder 32
 EOF
     dune exec bin/rfloor_cli.exe -- solve \
         --device-file "$tmp/device.txt" --design-file "$tmp/design.txt" \
-        --engine milp --workers 2 --time 30 \
+        --strategy milp:2 --time 30 --metrics "json:$tmp/metrics.json" \
         --trace "jsonl:$tmp/trace.jsonl" > "$tmp/out.traced" 2> "$tmp/report.txt"
     dune exec bin/rfloor_cli.exe -- trace-validate "$tmp/trace.jsonl"
     grep -q 'phase breakdown:' "$tmp/report.txt" || {
         echo "trace-check: no phase breakdown in the traced report" >&2; exit 1; }
+    # the LP series reach the registry through the trace fold alone
+    for series in rfloor_lp_factorizations_total rfloor_simplex_iterations_per_lp; do
+        grep -q "\"$series\"" "$tmp/metrics.json" || {
+            echo "trace-check: metrics snapshot lacks $series" >&2; exit 1; }
+    done
+    if grep -q '"rfloor_trace_lp_' "$tmp/metrics.json"; then
+        echo "trace-check: metrics snapshot still holds rfloor_trace_lp_* series" >&2
+        exit 1
+    fi
     dune exec bin/rfloor_cli.exe -- solve \
         --device-file "$tmp/device.txt" --design-file "$tmp/design.txt" \
-        --engine milp --workers 2 --time 30 \
+        --strategy milp:2 --time 30 \
         --trace off > "$tmp/out.plain"
     for key in 'engine:' 'wasted frames:'; do
         a=$(grep "$key" "$tmp/out.traced" || true)
@@ -193,7 +222,7 @@ net filter decoder 32
 EOF
     dune exec bin/rfloor_cli.exe -- solve \
         --device-file "$ctmp/device.txt" --design-file "$ctmp/design.txt" \
-        --engine milp --workers 2 --time 30 \
+        --strategy milp:2 --time 30 \
         --trace "jsonl:$ctmp/trace.jsonl" > /dev/null
     dune exec bin/rfloor_cli.exe -- trace-verify "$ctmp/trace.jsonl"
     # 4. the verifier must still have teeth: seeded defects must fail
@@ -395,7 +424,7 @@ EOF
     #    JSONL -> perfetto, a direct perfetto capture, and the report
     dune exec bin/rfloor_cli.exe -- solve \
         --device-file "$otmp/device.txt" --design-file "$otmp/design.txt" \
-        --engine milp --workers 2 --time 2.5 \
+        --strategy milp:2 --time 2.5 \
         --trace "jsonl:$otmp/trace.jsonl" > /dev/null
     dune exec bin/rfloor_cli.exe -- trace-export "$otmp/trace.jsonl" \
         -o "$otmp/trace.perfetto.json"
@@ -410,7 +439,7 @@ EOF
         echo "obsv-check: trace-report lacks the critical path" >&2; exit 1; }
     dune exec bin/rfloor_cli.exe -- solve \
         --device-file "$otmp/device.txt" --design-file "$otmp/design.txt" \
-        --engine milp --workers 2 --time 2.5 \
+        --strategy milp:2 --time 2.5 \
         --trace "perfetto:$otmp/direct.json" > /dev/null
     dune exec bin/rfloor_cli.exe -- trace-validate "$otmp/direct.json"
     echo "obsv-check passed (endpoints live under a real job, >= $nprog progress frames, RF602 survived, perfetto valid)"
@@ -544,6 +573,8 @@ dune runtest
 
 echo "== rfloor_cli lint (fx70t / sdr)"
 dune exec bin/rfloor_cli.exe -- lint --device fx70t --design sdr
+
+metric_names
 
 simplex_check
 

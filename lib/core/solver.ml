@@ -252,7 +252,6 @@ let bb_options options cfg trace model stage_time ~ext =
     node_limit = options.node_limit;
     priorities = Some (Model.branching_priorities model);
     trace;
-    metrics = options.metrics;
     cancel = cfg.mg_cancel;
     warm_lp = options.warm_lp;
     external_bound =
@@ -300,7 +299,7 @@ let run_stage options cfg trace model ~stage_time ~warm ~ext ~add_diags =
       stop = None;
     }
   else begin
-    ignore (Milp.Presolve.tighten ~trace ~metrics:options.metrics lp);
+    ignore (Milp.Presolve.tighten ~trace lp);
     let incumbent =
       match warm with
       | None -> None
@@ -318,20 +317,12 @@ let run_stage options cfg trace model ~stage_time ~warm ~ext ~add_diags =
           ~workers:cfg.mg_workers ?incumbent lp)
   end
 
-let build_model options trace model_options part spec =
+let build_model trace model_options part spec =
   let model =
     T.span trace T.Event.Build (fun () ->
         Model.build ~options:model_options part spec)
   in
-  let n = Model.cuts_applied model in
-  if n > 0 then begin
-    T.cuts_added trace ~worker:0 ~rounds:1 ~cuts:n;
-    Rfloor_metrics.Registry.Counter.add
-      (Rfloor_metrics.Registry.counter options.metrics
-         ~help:"Symmetry/packing cut rows added at model build time"
-         "rfloor_cuts_applied_total")
-      n
-  end;
+  T.cuts_added trace ~worker:0 ~rounds:1 ~cuts:(Model.cuts_applied model);
   model
 
 let status_of_bb = function
@@ -408,8 +399,7 @@ let solve_milp options cfg trace part spec ~add_diags ~diags =
   match options.objective_mode with
   | Feasibility_only ->
     let model =
-      build_model options trace (model_options Model.Feasibility None) part
-        spec
+      build_model trace (model_options Model.Feasibility None) part spec
     in
     finish options trace part spec model
       (run_stage options cfg trace model ~stage_time:cfg.mg_budget ~warm
@@ -417,8 +407,7 @@ let solve_milp options cfg trace part spec ~add_diags ~diags =
       0 0 0. !diags
   | Weighted w ->
     let model =
-      build_model options trace (model_options (Model.Weighted w) None) part
-        spec
+      build_model trace (model_options (Model.Weighted w) None) part spec
     in
     finish options trace part spec model
       (run_stage options cfg trace model ~stage_time:cfg.mg_budget ~warm
@@ -427,7 +416,7 @@ let solve_milp options cfg trace part spec ~add_diags ~diags =
   | Lexicographic -> (
     let split f = Option.map (fun t -> t *. f) cfg.mg_budget in
     let m1 =
-      build_model options trace (model_options Model.Wasted_frames_only None)
+      build_model trace (model_options Model.Wasted_frames_only None)
         part spec
     in
     (* the external bound is armed only here: stage 1 minimizes exactly
@@ -447,7 +436,7 @@ let solve_milp options cfg trace part spec ~add_diags ~diags =
       publish w1 plan1;
       T.restart trace "stage2-wirelength";
       let m2 =
-        build_model options trace
+        build_model trace
           (model_options Model.Wirelength_only (Some (w1 +. 0.5)))
           part spec
       in
@@ -805,9 +794,8 @@ let solve ?(options = default_options) part (spec : Spec.t) =
   (* One live tracer per solve, even with the null sink: the metrics
      behind [outcome.report] always accumulate; events only flow when a
      real sink is attached.  A live metrics registry tees its
-     event-folding sink onto the caller's, so the registry sees the
-     whole event stream (phases, incumbents, steals) in addition to the
-     direct simplex/presolve instrumentation. *)
+     event-folding sink onto the caller's: the event stream is how
+     every solver-layer series reaches the registry. *)
   let sink =
     if Rfloor_metrics.Registry.live options.metrics then
       T.Sink.tee options.trace (Rfloor_metrics.Trace_sink.sink options.metrics)

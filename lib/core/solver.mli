@@ -114,9 +114,9 @@ type options = {
       (** Add the {!Milp.Cuts} families (relocation-symmetry chains,
           portion-packing/capacity rows) at model build time (default
           [true]).  Purely a search-speed knob: cuts never change the
-          optimum.  The count of added rows lands in the
-          [rfloor_cuts_applied_total] counter and a [Cut_added] trace
-          event. *)
+          optimum.  The count of added rows is reported as a
+          [Cut_added] trace event, which a live [metrics] registry
+          folds into [rfloor_cuts_total]. *)
   trace : Rfloor_trace.sink;
       (** Where structured solver events go (default
           {!Rfloor_trace.Sink.null}: no events, but [outcome.report] is
@@ -127,10 +127,11 @@ type options = {
   metrics : Rfloor_metrics.Registry.t;
       (** Aggregate profiling (default {!Rfloor_metrics.Registry.null}:
           one load-and-branch per hot-path site).  A live registry
-          receives direct simplex/presolve instrumentation plus a
-          {!Rfloor_metrics.Trace_sink} fold of the whole event stream;
-          portfolio races additionally bump
-          [rfloor_portfolio_wins_total{strategy=...}]. *)
+          receives the {!Rfloor_metrics.Trace_sink} fold of the whole
+          event stream — the only route by which solver-layer facts
+          (LP, presolve, branch-and-bound, cuts) reach it; portfolio
+          races additionally bump
+          [rfloor_portfolio_wins_total{strategy=...}] directly. *)
   cancel : unit -> bool;
       (** Cooperative cancellation token, polled at every search loop
           head (all strategies).  When it returns [true] the solve

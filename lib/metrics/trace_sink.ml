@@ -48,14 +48,52 @@ let sink reg =
         "rfloor_stops_total"
     in
     let warnings = counter ~help:"Warning events" "rfloor_warnings_total" in
-    let refactors =
-      counter ~help:"LP basis refactorizations seen in the trace"
-        "rfloor_trace_lp_refactor_total"
+    (* solver-layer series, registered on their first event so a solve
+       that never reaches the LP gains no zero-valued LP series; the
+       sink mutex serializes every [Lazy.force] *)
+    let lazy_counter ~help name = lazy (counter ~help name) in
+    let factorizations =
+      lazy_counter ~help:"LP basis factorizations (fresh sparse LU builds)"
+        "rfloor_lp_factorizations_total"
     in
-    let warm_events =
-      counter ~help:"Warm-started LP re-solves seen in the trace"
-        "rfloor_trace_lp_warm_total"
+    let warm_starts =
+      lazy_counter
+        ~help:"LP re-solves served warm by the dual simplex from a parent basis"
+        "rfloor_lp_warm_starts_total"
     in
+    let warm_fallbacks =
+      lazy_counter
+        ~help:"Warm-start LP re-solves that fell back to a cold solve"
+        "rfloor_lp_warm_fallbacks_total"
+    in
+    let ft_updates =
+      lazy_counter
+        ~help:"Product-form basis updates between LP refactorizations"
+        "rfloor_lp_ft_updates_total"
+    in
+    let lp_seconds =
+      lazy
+        (Registry.histogram reg ~help:"Wall time per LP relaxation solve"
+           "rfloor_lp_solve_seconds")
+    in
+    let lp_iters =
+      lazy
+        (Registry.histogram reg ~help:"Simplex iterations per LP relaxation"
+           ~buckets:Registry.count_buckets "rfloor_simplex_iterations_per_lp")
+    in
+    let presolve_rounds =
+      lazy_counter ~help:"Presolve tightening rounds run"
+        "rfloor_presolve_rounds_total"
+    in
+    let presolve_changes =
+      lazy_counter ~help:"Presolve bound changes applied"
+        "rfloor_presolve_bound_changes_total"
+    in
+    let presolve_infeasible =
+      lazy_counter ~help:"Presolve infeasibility proofs"
+        "rfloor_presolve_infeasible_total"
+    in
+    let bump ?(by = 1) c = Registry.Counter.add (Lazy.force c) by in
     let moves =
       counter ~help:"Online relocation moves seen in the trace"
         "rfloor_trace_moves_total"
@@ -125,8 +163,17 @@ let sink reg =
           Hashtbl.replace idle_since e.E.worker e.E.at
         | E.Restart _ -> Registry.Counter.incr restarts
         | E.Stopped _ -> Registry.Counter.incr stops
-        | E.Lp_refactor _ -> Registry.Counter.incr refactors
-        | E.Lp_warm _ -> Registry.Counter.incr warm_events
+        | E.Lp_refactor _ -> bump factorizations
+        | E.Lp_warm { result = "dual" } -> bump warm_starts
+        | E.Lp_warm _ -> bump warm_fallbacks
+        | E.Lp_solved { iters; updates; seconds } ->
+          Registry.Histogram.observe (Lazy.force lp_seconds) seconds;
+          Registry.Histogram.observe (Lazy.force lp_iters) (float_of_int iters);
+          bump ~by:updates ft_updates
+        | E.Presolved { rounds; changes; infeasible } ->
+          bump ~by:rounds presolve_rounds;
+          if infeasible then bump presolve_infeasible
+          else bump ~by:changes presolve_changes
         | E.Move _ -> Registry.Counter.incr moves
         | E.Warning _ -> Registry.Counter.incr warnings
         | E.Message _ -> ())

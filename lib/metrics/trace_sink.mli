@@ -14,8 +14,16 @@
       [rfloor_steal_latency_seconds] — the latency histogram measures
       idle-to-next-node gaps per worker, i.e. how long a starved
       worker waited for stolen work;
-    - [rfloor_cuts_total], [rfloor_idle_total], [rfloor_restarts_total],
-      [rfloor_warnings_total], [rfloor_trace_events_total].
+    - [rfloor_cuts_total] (model-build symmetry/packing rows and root
+      Gomory cuts), [rfloor_idle_total], [rfloor_restarts_total],
+      [rfloor_stops_total], [rfloor_warnings_total],
+      [rfloor_trace_moves_total], [rfloor_trace_events_total];
+    - from [Lp_refactor], [Lp_warm], [Lp_solved] and [Presolved]: the
+      [rfloor_lp_*], [rfloor_simplex_iterations_per_lp] and
+      [rfloor_presolve_*] series, each registered on its first event.
+
+    This fold is the only route by which solver-layer facts reach a
+    registry, and the one place each of these series is defined.
 
     On the {!Registry.null} registry this returns
     {!Rfloor_trace.Sink.null}, so attaching metrics to a solve is free

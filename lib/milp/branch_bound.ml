@@ -22,7 +22,6 @@ type options = {
   priorities : float array option;
   trace : Rfloor_trace.t;
   gomory_rounds : int;
-  metrics : Rfloor_metrics.Registry.t;
   cancel : unit -> bool;
   warm_lp : bool;
   external_bound : unit -> float;
@@ -40,20 +39,10 @@ let default_options =
     priorities = None;
     trace = Rfloor_trace.disabled;
     gomory_rounds = 0;
-    metrics = Rfloor_metrics.Registry.null;
     cancel = never_cancel;
     warm_lp = true;
     external_bound = no_external_bound;
   }
-
-(* Per-LP profiling handles: registered once per solve, before any
-   worker domain spawns, so every worker feeds the same series. *)
-let lp_histograms reg =
-  let module R = Rfloor_metrics.Registry in
-  ( R.histogram reg ~help:"Simplex iterations per LP relaxation"
-      ~buckets:R.count_buckets "rfloor_simplex_iterations_per_lp",
-    R.histogram reg ~help:"Wall time per LP relaxation solve"
-      "rfloor_lp_solve_seconds" )
 
 let objective_key dir obj =
   match dir with Lp.Minimize -> obj | Lp.Maximize -> -.obj
@@ -115,15 +104,6 @@ let pick_branch ~int_eps ~priorities int_vars x =
 let solve ?(options = default_options) ?(workers = 1) ?incumbent lp =
   let workers = max 1 workers in
   let trace = options.trace in
-  (* Histogram handles are registered once, before any domain spawns;
-     observations are lock-free atomics so all workers share them. *)
-  let mlive = Rfloor_metrics.Registry.live options.metrics in
-  let h_lp_iters, h_lp_seconds = lp_histograms options.metrics in
-  (* LP counters registered once before any domain spawns; updates are
-     lock-free atomics shared by all workers *)
-  let instr =
-    if mlive then Some (Simplex.instruments options.metrics) else None
-  in
   let t0 = Unix.gettimeofday () in
   (* Root branch-and-cut runs once, before any worker exists; ditto any
      caller-side preflight (Core.Solver lints the root model exactly
@@ -287,11 +267,10 @@ let solve ?(options = default_options) ?(workers = 1) ?incumbent lp =
             local_nodes.(w) <- local_nodes.(w) + 1;
             Rfloor_trace.node_explored trace ~iters:local_iters.(w) ~worker:w
               ~depth:node.t_depth ~bound:(unkey node.t_bound);
-            let t_lp = if mlive then Unix.gettimeofday () else 0. in
             let warm = if options.warm_lp then node.t_basis else None in
             let solve_node () =
               Simplex.Core.solve_warm ~lb:node.t_lb ~ub:node.t_ub ?warm
-                ?instr ~trace ~worker:w core
+                ~trace ~worker:w core
             in
             let r, node_basis =
               if node.t_depth = 0 then
@@ -299,12 +278,6 @@ let solve ?(options = default_options) ?(workers = 1) ?incumbent lp =
                   solve_node
               else solve_node ()
             in
-            if mlive then begin
-              Rfloor_metrics.Registry.Histogram.observe h_lp_seconds
-                (Unix.gettimeofday () -. t_lp);
-              Rfloor_metrics.Registry.Histogram.observe h_lp_iters
-                (float_of_int r.Simplex.iterations)
-            end;
             local_iters.(w) <- local_iters.(w) + r.Simplex.iterations;
             match r.Simplex.status with
             | Simplex.Infeasible -> ()

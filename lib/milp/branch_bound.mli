@@ -73,19 +73,14 @@ type options = {
   priorities : float array option;
       (** Branching priorities per variable; higher branches first. *)
   trace : Rfloor_trace.t;
-      (** Structured observability: per-node events, incumbents, root
+      (** Structured observability: per-node events, per-LP
+          [Lp_solved]/[Lp_warm]/[Lp_refactor] events, incumbents, root
           cuts, warnings.  Default {!Rfloor_trace.disabled} (zero cost).
-          To recover the old [log : string -> unit] behaviour, build a
-          tracer over {!Rfloor_trace.Sink.of_log_fn}. *)
+          For human-readable progress lines build a tracer over
+          {!Rfloor_trace.Sink.text}; for registry series attach the
+          metrics library's [Trace_sink.sink]. *)
   gomory_rounds : int;
       (** rounds of root-node Gomory cuts (branch and cut); default 0 *)
-  metrics : Rfloor_metrics.Registry.t;
-      (** Aggregate profiling: per-LP simplex iteration-count and
-          wall-time histograms ([rfloor_simplex_iterations_per_lp],
-          [rfloor_lp_solve_seconds]).  Default
-          {!Rfloor_metrics.Registry.null} — with it, the per-node hot
-          path does no histogram work beyond a load-and-branch and
-          reads no clocks. *)
   cancel : unit -> bool;
       (** Cooperative cancellation token, polled at every loop head
           (before each node's LP solve).  Returning [true] stops the
@@ -138,10 +133,3 @@ val workers_from_env : ?default:int -> ?trace:Rfloor_trace.t -> unit -> int
 val objective_key : Lp.dir -> float -> float
 (** Normalizes an objective value to minimization order (used by callers
     comparing bounds across directions). *)
-
-val lp_histograms :
-  Rfloor_metrics.Registry.t ->
-  Rfloor_metrics.Registry.Histogram.t * Rfloor_metrics.Registry.Histogram.t
-(** [(iterations_per_lp, lp_seconds)] profiling handles for per-LP
-    observations — registered once per solve and shared by all of its
-    workers. *)

@@ -102,32 +102,15 @@ let tighten_body ~max_rounds ~rounds_out lp =
     rounds_out := !round;
     Proven_infeasible
 
-let tighten ?(max_rounds = 10) ?(trace = Rfloor_trace.disabled)
-    ?(metrics = Rfloor_metrics.Registry.null) lp =
+let tighten ?(max_rounds = 10) ?(trace = Rfloor_trace.disabled) lp =
   Rfloor_trace.span trace Rfloor_trace.Event.Presolve (fun () ->
       let rounds = ref 0 in
       let outcome = tighten_body ~max_rounds ~rounds_out:rounds lp in
-      let module R = Rfloor_metrics.Registry in
-      if R.live metrics then begin
-        R.Counter.add
-          (R.counter metrics ~help:"Presolve tightening rounds run"
-             "rfloor_presolve_rounds_total")
-          !rounds;
+      let changes, infeasible =
         match outcome with
-        | Tightened n ->
-          R.Counter.add
-            (R.counter metrics ~help:"Presolve bound changes applied"
-               "rfloor_presolve_bound_changes_total")
-            n
-        | Proven_infeasible ->
-          R.Counter.incr
-            (R.counter metrics ~help:"Presolve infeasibility proofs"
-               "rfloor_presolve_infeasible_total")
-      end;
-      (match outcome with
-      | Tightened n when n > 0 ->
-        Rfloor_trace.messagef trace "presolve: %d bound changes" n
-      | Tightened _ -> ()
-      | Proven_infeasible ->
-        Rfloor_trace.messagef trace "presolve: proven infeasible");
+        | Tightened n -> (n, false)
+        | Proven_infeasible -> (0, true)
+      in
+      Rfloor_trace.emit trace
+        (Rfloor_trace.Event.Presolved { rounds = !rounds; changes; infeasible });
       outcome)

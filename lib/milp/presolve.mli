@@ -9,19 +9,13 @@ type outcome =
   | Tightened of int  (** number of bound changes applied *)
   | Proven_infeasible
 
-val tighten :
-  ?max_rounds:int ->
-  ?trace:Rfloor_trace.t ->
-  ?metrics:Rfloor_metrics.Registry.t ->
-  Lp.t ->
-  outcome
+val tighten : ?max_rounds:int -> ?trace:Rfloor_trace.t -> Lp.t -> outcome
 (** Activity-based bound tightening.  For each row, the residual
     activity range implies bounds on each participating variable;
     integer variables additionally have fractional bounds rounded.
     Iterates to a fixed point or [max_rounds] (default 10).  [trace]
     (default {!Rfloor_trace.disabled}) brackets the pass in a
-    [Presolve] span and reports the outcome as a [Message].  [metrics]
-    (default {!Rfloor_metrics.Registry.null}) counts tightening rounds
-    ([rfloor_presolve_rounds_total]), bound changes
-    ([rfloor_presolve_bound_changes_total]) and infeasibility proofs
-    ([rfloor_presolve_infeasible_total]). *)
+    [Presolve] span and reports the outcome as one [Presolved] event
+    (rounds run, bound changes, infeasibility proof), which the metrics
+    library's [Trace_sink] folds into the [rfloor_presolve_*]
+    counters. *)

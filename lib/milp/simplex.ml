@@ -37,29 +37,6 @@ let bland_after = 400 (* consecutive degenerate pivots before Bland's rule *)
 let devex_reset = 1e8 (* weight blow-up that resets the reference frame *)
 let warm_dual_tol = 1e-6 (* dual infeasibility accepted at warm install *)
 
-module R = Rfloor_metrics.Registry
-
-type instruments = {
-  i_factor : R.Counter.t;
-  i_ft : R.Counter.t;
-  i_warm : R.Counter.t;
-}
-
-let instruments reg =
-  {
-    i_factor =
-      R.counter reg ~help:"LP basis factorizations (fresh sparse LU builds)"
-        "rfloor_lp_factorizations_total";
-    i_ft =
-      R.counter reg
-        ~help:"Product-form basis updates between LP refactorizations"
-        "rfloor_lp_ft_updates_total";
-    i_warm =
-      R.counter reg
-        ~help:"LP re-solves served warm by the dual simplex from a parent basis"
-        "rfloor_lp_warm_starts_total";
-  }
-
 module P = struct
   (* Columns are laid out as: structural vars [0, n), slacks [n, n+m),
      artificials [n+m, n+2m).  Slack and artificial columns are unit
@@ -168,7 +145,8 @@ type state = {
   mutable iters : int;
   mutable ecap : int; (* current eta cap (pushed out on singular refactor) *)
   mutable degen_streak : int;
-  instr : instruments option;
+  updates : int ref; (* product-form updates, shared by a warm attempt
+                        and its cold fallback *)
   trace : Rfloor_trace.t;
   t_worker : int;
 }
@@ -205,16 +183,12 @@ let[@inline] sub_col core r j xj =
 
 exception Singular_basis
 
-let count_factor st reason =
-  (match st.instr with Some i -> R.Counter.incr i.i_factor | None -> ());
-  Rfloor_trace.lp_refactor st.trace ~worker:st.t_worker reason
-
 let factorize st reason =
   match Lu.factor ~m:st.core.P.m (col_iter st) st.basis with
   | lu ->
     st.lu <- lu;
     st.ecap <- Lu.base_eta_cap;
-    count_factor st reason
+    Rfloor_trace.emit st.trace ~worker:st.t_worker (Lp_refactor { reason })
   | exception Lu.Singular -> raise Singular_basis
 
 (* Recompute basic variable values from nonbasic values. *)
@@ -465,7 +439,7 @@ let step st ~bland j sigma =
     st.x.(out) <- (if to_ub then st.ub.(out) else st.lb.(out));
     if not bland then devex_update st r j st.w.(r);
     Lu.update st.lu r st.w;
-    (match st.instr with Some i -> R.Counter.incr i.i_ft | None -> ());
+    incr st.updates;
     st.basis.(r) <- j;
     st.basic_row.(out) <- -1;
     st.basic_row.(j) <- r;
@@ -563,8 +537,7 @@ let finish_optimal st ?basis_sink ?snapshot_sink () =
   in
   { status = Optimal; objective; x = Array.sub st.x 0 n; iterations = st.iters }
 
-let make_state ?instr ?(trace = Rfloor_trace.disabled) ?(worker = 0) core wlb
-    wub =
+let make_state ~updates ~trace ~worker core wlb wub =
   let n = core.P.n and m = core.P.m in
   let total = n + m + m in
   {
@@ -586,7 +559,7 @@ let make_state ?instr ?(trace = Rfloor_trace.disabled) ?(worker = 0) core wlb
     iters = 0;
     ecap = Lu.base_eta_cap;
     degen_streak = 0;
-    instr;
+    updates;
     trace;
     t_worker = worker;
   }
@@ -605,8 +578,9 @@ let working_bounds core lb ub =
 let default_max_iters core =
   20_000 + (60 * (core.P.m + core.P.n))
 
-let solve_core ?max_iters ?lb ?ub ?basis_sink ?snapshot_sink ?instr
-    ?(trace = Rfloor_trace.disabled) ?(worker = 0) (core : P.t) =
+let solve_core ?max_iters ?lb ?ub ?basis_sink ?snapshot_sink
+    ?(updates = ref 0) ?(trace = Rfloor_trace.disabled) ?(worker = 0)
+    (core : P.t) =
   let n = core.P.n and m = core.P.m in
   let max_iters =
     match max_iters with Some k -> k | None -> default_max_iters core
@@ -615,7 +589,7 @@ let solve_core ?max_iters ?lb ?ub ?basis_sink ?snapshot_sink ?instr
   if bad_bounds then
     { status = Infeasible; objective = nan; x = Array.make n nan; iterations = 0 }
   else begin
-    let st = make_state ?instr ~trace ~worker core wlb wub in
+    let st = make_state ~updates ~trace ~worker core wlb wub in
     for i = 0 to m - 1 do
       st.basic_row.(n + m + i) <- i
     done;
@@ -710,12 +684,12 @@ let solve_core ?max_iters ?lb ?ub ?basis_sink ?snapshot_sink ?instr
    to finish the solve with dual pivots.  Returns [None] whenever the
    warm path cannot certify the result — the caller then falls back to
    the cold two-phase solve. *)
-let try_warm ~max_iters ~warm ?instr ~trace ~worker ~wlb ~wub
+let try_warm ~max_iters ~warm ~updates ~trace ~worker ~wlb ~wub
     ?basis_sink ?snapshot_sink (core : P.t) =
   let n = core.P.n and m = core.P.m in
   if warm.Basis.bs_m <> m || warm.Basis.bs_nm <> n + m then None
   else begin
-    let st = make_state ?instr ~trace ~worker core wlb wub in
+    let st = make_state ~updates ~trace ~worker core wlb wub in
     Array.blit warm.Basis.bs_basis 0 st.basis 0 m;
     let valid = ref true in
     for i = 0 to m - 1 do
@@ -867,9 +841,7 @@ let try_warm ~max_iters ~warm ?instr ~trace ~worker ~wlb ~wub
                     st.x.(!q) <- newq;
                     st.x.(out) <- target;
                     Lu.update st.lu !r st.w;
-                    (match st.instr with
-                    | Some i -> R.Counter.incr i.i_ft
-                    | None -> ());
+                    incr st.updates;
                     st.basis.(!r) <- !q;
                     st.basic_row.(out) <- -1;
                     st.basic_row.(!q) <- !r;
@@ -896,24 +868,26 @@ let try_warm ~max_iters ~warm ?instr ~trace ~worker ~wlb ~wub
 (* ------------------------------------------------------------------ *)
 (* Public entry points *)
 
-let solve ?max_iters ?(trace = Rfloor_trace.disabled)
-    ?(metrics = Rfloor_metrics.Registry.null) lp =
+(* [f ~updates] runs one LP solve; when [trace] is enabled the solve
+   is reported as one [Lp_solved] event.  A null-sink solve reads no
+   clock. *)
+let reported ~trace ~worker f =
+  let updates = ref 0 in
+  if not (Rfloor_trace.enabled trace) then f ~updates
+  else begin
+    let t0 = Rfloor_trace.now trace in
+    let r = f ~updates in
+    Rfloor_trace.emit trace ~worker
+      (Lp_solved
+         { iters = r.iterations; updates = !updates;
+           seconds = Rfloor_trace.now trace -. t0 });
+    r
+  end
+
+let solve ?max_iters ?(trace = Rfloor_trace.disabled) lp =
   Rfloor_trace.span trace Rfloor_trace.Event.Lp_solve (fun () ->
-      let mlive = R.live metrics in
-      let instr = if mlive then Some (instruments metrics) else None in
-      let t0 = if mlive then Unix.gettimeofday () else 0. in
-      let r = solve_core ?max_iters ?instr ~trace (P.of_lp lp) in
-      if mlive then begin
-        R.Histogram.observe
-          (R.histogram metrics ~help:"Wall time per LP relaxation solve"
-             "rfloor_lp_solve_seconds")
-          (Unix.gettimeofday () -. t0);
-        R.Histogram.observe
-          (R.histogram metrics ~help:"Simplex iterations per LP relaxation"
-             ~buckets:R.count_buckets "rfloor_simplex_iterations_per_lp")
-          (float_of_int r.iterations)
-      end;
-      r)
+      reported ~trace ~worker:0 (fun ~updates ->
+          solve_core ?max_iters ~updates ~trace (P.of_lp lp)))
 
 module Core = struct
   include P
@@ -925,36 +899,35 @@ module Core = struct
     let outcome = solve_core ?max_iters ?lb ?ub ~basis_sink:sink t in
     (outcome, !sink)
 
-  let solve_warm ?max_iters ?lb ?ub ?warm ?instr
-      ?(trace = Rfloor_trace.disabled) ?(worker = 0) t =
+  let solve_warm ?max_iters ?lb ?ub ?warm ?(trace = Rfloor_trace.disabled)
+      ?(worker = 0) t =
     let max_iters' =
       match max_iters with Some k -> k | None -> default_max_iters t
     in
     let snap = ref None in
-    let wlb, wub, bad_bounds = working_bounds t lb ub in
-    if bad_bounds then
-      ( { status = Infeasible; objective = nan;
-          x = Array.make t.P.n nan; iterations = 0 },
-        None )
-    else begin
-      let warm_result =
-        match warm with
-        | None -> None
-        | Some parent ->
-          try_warm ~max_iters:max_iters' ~warm:parent ?instr ~trace ~worker
-            ~wlb ~wub ~snapshot_sink:snap t
-      in
-      match warm_result with
-      | Some outcome ->
-        (match instr with Some i -> R.Counter.incr i.i_warm | None -> ());
-        Rfloor_trace.lp_warm trace ~worker "dual";
-        (outcome, !snap)
-      | None ->
-        if Option.is_some warm then Rfloor_trace.lp_warm trace ~worker "fallback";
-        let outcome =
-          solve_core ?max_iters ?lb ?ub ~snapshot_sink:snap ?instr ~trace
-            ~worker t
+    let outcome =
+      reported ~trace ~worker @@ fun ~updates ->
+      let wlb, wub, bad_bounds = working_bounds t lb ub in
+      if bad_bounds then
+        { status = Infeasible; objective = nan; x = Array.make t.P.n nan;
+          iterations = 0 }
+      else
+        let warm_result =
+          match warm with
+          | None -> None
+          | Some parent ->
+            try_warm ~max_iters:max_iters' ~warm:parent ~updates ~trace
+              ~worker ~wlb ~wub ~snapshot_sink:snap t
         in
-        (outcome, !snap)
-    end
+        match warm_result with
+        | Some outcome ->
+          Rfloor_trace.emit trace ~worker (Lp_warm { result = "dual" });
+          outcome
+        | None ->
+          if Option.is_some warm then
+            Rfloor_trace.emit trace ~worker (Lp_warm { result = "fallback" });
+          solve_core ?max_iters ?lb ?ub ~snapshot_sink:snap ~updates ~trace
+            ~worker t
+    in
+    (outcome, !snap)
 end

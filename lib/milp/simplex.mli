@@ -23,18 +23,6 @@ type outcome = {
   iterations : int;
 }
 
-type instruments
-(** Pre-registered LP metrics counters, created once per solver run
-    (registration takes the registry mutex; counter updates are
-    lock-free and domain-safe). *)
-
-val instruments : Rfloor_metrics.Registry.t -> instruments
-(** Registers and returns the LP counters:
-    [rfloor_lp_factorizations_total] (fresh sparse LU builds),
-    [rfloor_lp_ft_updates_total] (product-form basis updates) and
-    [rfloor_lp_warm_starts_total] (re-solves served warm by the dual
-    simplex). *)
-
 module Basis : sig
   type t
   (** Opaque immutable basis snapshot: the basic column of every row
@@ -42,18 +30,14 @@ module Basis : sig
       share across domains. *)
 end
 
-val solve :
-  ?max_iters:int ->
-  ?trace:Rfloor_trace.t ->
-  ?metrics:Rfloor_metrics.Registry.t ->
-  Lp.t ->
-  outcome
+val solve : ?max_iters:int -> ?trace:Rfloor_trace.t -> Lp.t -> outcome
 (** One-shot solve of the LP relaxation.  [trace] (default
     {!Rfloor_trace.disabled}) brackets the solve in an [Lp_solve]
-    span.  [metrics] (default {!Rfloor_metrics.Registry.null}) records
-    the solve into the [rfloor_lp_solve_seconds] and
-    [rfloor_simplex_iterations_per_lp] histograms and the
-    {!instruments} counters. *)
+    span and, when {!Rfloor_trace.enabled}, reports its
+    factorizations as [Lp_refactor] events and the solve itself as one
+    [Lp_solved] event (iterations, product-form updates, wall time).
+    The metrics library's [Trace_sink] folds those events into the LP
+    series of a registry. *)
 
 module Core : sig
   (** Preprocessed problem reusable across many solves that differ only
@@ -87,7 +71,6 @@ module Core : sig
     ?lb:float array ->
     ?ub:float array ->
     ?warm:Basis.t ->
-    ?instr:instruments ->
     ?trace:Rfloor_trace.t ->
     ?worker:int ->
     t ->
@@ -98,6 +81,9 @@ module Core : sig
       stays dual feasible) and falls back to the cold two-phase solve
       whenever the warm path cannot certify the result.  On an optimal
       finish the returned {!Basis.t} snapshot seeds the children.
-      [instr] counts factorizations, product-form updates and warm
-      starts; [trace]/[worker] emit [Lp_refactor]/[Lp_warm] events. *)
+      [trace]/[worker] emit [Lp_refactor] events, one [Lp_warm] event
+      when [warm] was given, and one [Lp_solved] event for the whole
+      call (warm attempt and cold fallback together); with a tracer
+      that is not {!Rfloor_trace.enabled} nothing is emitted and no
+      clock is read. *)
 end

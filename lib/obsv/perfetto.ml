@@ -136,6 +136,26 @@ let event_json nodes_per_worker (e : T.Event.t) =
     Some (instant ~tid ~name:"lp_refactor" ~args:[ ("reason", J.Str reason) ] at)
   | T.Event.Lp_warm { result } ->
     Some (instant ~tid ~name:"lp_warm" ~args:[ ("result", J.Str result) ] at)
+  | T.Event.Lp_solved { iters; updates; seconds } ->
+    Some
+      (instant ~tid ~name:"lp_solved"
+         ~args:
+           [
+             ("iters", J.Num (float_of_int iters));
+             ("updates", J.Num (float_of_int updates));
+             ("seconds", J.Num seconds);
+           ]
+         at)
+  | T.Event.Presolved { rounds; changes; infeasible } ->
+    Some
+      (instant ~tid ~name:"presolved"
+         ~args:
+           [
+             ("rounds", J.Num (float_of_int rounds));
+             ("changes", J.Num (float_of_int changes));
+             ("infeasible", J.Bool infeasible);
+           ]
+         at)
   | T.Event.Move { module_name; src; dst } ->
     Some
       (instant ~tid ~name:"move"

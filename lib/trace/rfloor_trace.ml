@@ -34,6 +34,8 @@ module Event = struct
     | Stopped of { reason : string }
     | Lp_refactor of { reason : string }
     | Lp_warm of { result : string }
+    | Lp_solved of { iters : int; updates : int; seconds : float }
+    | Presolved of { rounds : int; changes : int; infeasible : bool }
     | Move of { module_name : string; src : string; dst : string }
     | Warning of string
     | Message of string
@@ -70,6 +72,8 @@ module Event = struct
     | Stopped _ -> "stopped"
     | Lp_refactor _ -> "refactor"
     | Lp_warm _ -> "warm"
+    | Lp_solved _ -> "lp"
+    | Presolved _ -> "presolve"
     | Move _ -> "move"
     | Warning _ -> "warning"
     | Message _ -> "message"
@@ -84,13 +88,19 @@ module Event = struct
     | Incumbent { objective; node } ->
       Format.fprintf ppf "incumbent %.6f (node %d)" objective node
     | Cut_added { rounds; cuts } ->
-      Format.fprintf ppf "gomory: %d root cuts (%d rounds)" cuts rounds
+      Format.fprintf ppf "cuts: %d rows, %d rounds" cuts rounds
     | Steal { tasks } -> Format.fprintf ppf "donated %d open subproblems" tasks
     | Worker_idle -> Format.fprintf ppf "idle"
     | Restart { stage } -> Format.fprintf ppf "restart: %s" stage
     | Stopped { reason } -> Format.fprintf ppf "stopped: %s" reason
     | Lp_refactor { reason } -> Format.fprintf ppf "lp refactorize: %s" reason
     | Lp_warm { result } -> Format.fprintf ppf "lp warm start: %s" result
+    | Lp_solved { iters; updates; seconds } ->
+      Format.fprintf ppf "lp solved: %d iterations, %d updates, %.6fs" iters
+        updates seconds
+    | Presolved { rounds; changes; infeasible } ->
+      Format.fprintf ppf "presolve: %d bound changes, %d rounds%s" changes
+        rounds (if infeasible then ", proven infeasible" else "")
     | Move { module_name; src; dst } ->
       Format.fprintf ppf "move %s: %s -> %s" module_name src dst
     | Warning msg -> Format.fprintf ppf "warning: %s" msg
@@ -142,6 +152,12 @@ module Event = struct
         Printf.sprintf ",\"reason\":\"%s\"" (json_escape reason)
       | Lp_warm { result } ->
         Printf.sprintf ",\"result\":\"%s\"" (json_escape result)
+      | Lp_solved { iters; updates; seconds } ->
+        Printf.sprintf ",\"iters\":%d,\"updates\":%d,\"seconds\":%s" iters
+          updates (json_float seconds)
+      | Presolved { rounds; changes; infeasible } ->
+        Printf.sprintf ",\"rounds\":%d,\"changes\":%d,\"infeasible\":%b"
+          rounds changes infeasible
       | Move { module_name; src; dst } ->
         Printf.sprintf ",\"module\":\"%s\",\"src\":\"%s\",\"dst\":\"%s\""
           (json_escape module_name) (json_escape src) (json_escape dst)
@@ -362,6 +378,21 @@ module Event = struct
         | "warm" ->
           let* result = str "result" in
           Ok (Lp_warm { result })
+        | "lp" ->
+          let* iters = int_ "iters" in
+          let* updates = int_ "updates" in
+          let* seconds = num "seconds" in
+          if iters < 0 || updates < 0 then Error "negative lp counts"
+          else Ok (Lp_solved { iters; updates; seconds })
+        | "presolve" ->
+          let* rounds = int_ "rounds" in
+          let* changes = int_ "changes" in
+          let* infeasible =
+            match take seen "infeasible" with
+            | Some (Bool b) -> Ok b
+            | _ -> Error "field \"infeasible\" must be a boolean"
+          in
+          Ok (Presolved { rounds; changes; infeasible })
         | "move" ->
           let* module_name = str "module" in
           let* src = str "src" in
@@ -404,21 +435,21 @@ module Sink = struct
     | Null -> ()
     | Fn { f; m } -> Sync.Mutex.protect m (fun () -> f e)
 
-  let of_log_fn ?(progress_every = 500) log =
+  let text ?(progress_every = 500) oc =
     let nodes_seen = ref 0 in
     of_fn (fun (e : Event.t) ->
-        match e.Event.payload with
-        | Event.Node_explored _ ->
-          incr nodes_seen;
-          if !nodes_seen mod progress_every = 0 then
-            log (Format.asprintf "%a" Event.pp e)
-        | _ -> log (Format.asprintf "%a" Event.pp e))
-
-  let text ?progress_every oc =
-    of_log_fn ?progress_every (fun line ->
-        output_string oc line;
-        output_char oc '\n';
-        flush oc)
+        let show =
+          match e.Event.payload with
+          | Event.Node_explored _ ->
+            incr nodes_seen;
+            !nodes_seen mod progress_every = 0
+          | _ -> true
+        in
+        if show then begin
+          output_string oc (Format.asprintf "%a" Event.pp e);
+          output_char oc '\n';
+          flush oc
+        end)
 
   let jsonl oc =
     of_fn (fun e ->
@@ -798,12 +829,6 @@ let restart t ?(worker = 0) stage =
 
 let stopped t ?(worker = 0) reason =
   if enabled t then send t worker (Event.Stopped { reason })
-
-let lp_refactor t ?(worker = 0) reason =
-  if enabled t then send t worker (Event.Lp_refactor { reason })
-
-let lp_warm t ?(worker = 0) result =
-  if enabled t then send t worker (Event.Lp_warm { result })
 
 let move t ?(worker = 0) ~module_name ~src ~dst () =
   if enabled t then send t worker (Event.Move { module_name; src; dst })

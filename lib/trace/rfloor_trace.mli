@@ -54,14 +54,28 @@ module Event : sig
             cooperative cancellation and ["budget"] for a time/node
             limit *)
     | Lp_refactor of { reason : string }
-        (** the simplex rebuilt its basis factorization; [reason] is
-            ["periodic"] (eta cap / fill growth), ["stability"] (a
-            dubious update pivot), or ["singular"] (a fresh
-            factorization after a degenerate install) *)
+        (** the simplex built a fresh basis factorization; [reason] is
+            ["initial"] (the crash basis of a cold solve), ["warm"] (a
+            parent basis installed for a dual warm start), ["final"]
+            (the clean rebuild before an optimal result is reported),
+            ["periodic"] (eta cap / fill growth) or ["stability"] (a
+            dubious update pivot).  A fresh factorization that comes
+            back singular emits nothing: the simplex keeps its eta file
+            and pushes the cap out instead *)
     | Lp_warm of { result : string }
         (** a warm-started LP re-solve finished; [result] is ["dual"]
             when the dual simplex ran from the parent basis and
             ["fallback"] when the solve fell back to a cold start *)
+    | Lp_solved of { iters : int; updates : int; seconds : float }
+        (** one LP relaxation solved (a branch-and-bound node or a
+            standalone solve, warm attempt and cold fallback together):
+            [iters] simplex iterations of the reported result,
+            [updates] product-form basis updates and [seconds] of wall
+            time *)
+    | Presolved of { rounds : int; changes : int; infeasible : bool }
+        (** a presolve pass finished after [rounds] tightening rounds,
+            with [changes] bound changes applied, or with an
+            infeasibility proof ([changes] is then 0) *)
     | Move of { module_name : string; src : string; dst : string }
         (** an online defragmentation relocated a placed module;
             [src]/[dst] are rectangle strings as printed by
@@ -104,15 +118,11 @@ module Sink : sig
   val of_fn : (Event.t -> unit) -> t
   (** Every event, serialized behind a mutex. *)
 
-  val of_log_fn : ?progress_every:int -> (string -> unit) -> t
-  (** Migration shim for the old [options.log : (string -> unit)]
-      seam: renders events as human text lines.  [Node_explored] events
-      are sampled — one line every [progress_every] (default 500) —
-      matching the old [log_every] behaviour; everything else is
-      rendered unconditionally. *)
-
   val text : ?progress_every:int -> out_channel -> t
-  (** [of_log_fn] writing lines to a channel (flushed per line). *)
+  (** Renders events as human text lines on a channel (flushed per
+      line).  [Node_explored] events are sampled — one line every
+      [progress_every] (default 500); everything else is rendered
+      unconditionally. *)
 
   val jsonl : out_channel -> t
   (** One JSON object per line, every event, flushed per line. *)
@@ -259,14 +269,6 @@ val restart : t -> ?worker:int -> string -> unit
 val stopped : t -> ?worker:int -> string -> unit
 (** Emits a [Stopped] event (when enabled) naming why the search ended
     early; solvers emit it once per early stop. *)
-
-val lp_refactor : t -> ?worker:int -> string -> unit
-(** Emits an [Lp_refactor] event (when enabled) naming why the simplex
-    rebuilt its basis factorization. *)
-
-val lp_warm : t -> ?worker:int -> string -> unit
-(** Emits an [Lp_warm] event (when enabled) recording how a
-    warm-started LP re-solve finished (["dual"] or ["fallback"]). *)
 
 val move :
   t -> ?worker:int -> module_name:string -> src:string -> dst:string ->

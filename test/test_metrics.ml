@@ -202,11 +202,109 @@ let test_trace_sink_fold () =
   Alcotest.(check (list string))
     "per-phase wall-time series" [ "build"; "root_lp" ]
     (List.sort compare phase_series);
+  (* solver-layer series are registered on their first event only *)
+  let name_of = function
+    | R.Snapshot.Counter c -> c.name
+    | R.Snapshot.Gauge g -> g.name
+    | R.Snapshot.Histogram h -> h.name
+  in
+  let is_solver_series m =
+    List.exists
+      (fun prefix -> String.starts_with ~prefix (name_of m))
+      [ "rfloor_lp_"; "rfloor_simplex_"; "rfloor_presolve_" ]
+  in
+  Alcotest.(check (list string)) "no LP or presolve series before their events"
+    [] (List.map name_of (List.filter is_solver_series snap));
+  T.emit tracer (E.Lp_refactor { reason = "initial" });
+  T.emit tracer ~worker:1 (E.Lp_refactor { reason = "warm" });
+  T.emit tracer ~worker:1 (E.Lp_warm { result = "dual" });
+  T.emit tracer ~worker:1 (E.Lp_warm { result = "fallback" });
+  T.emit tracer ~worker:1 (E.Lp_warm { result = "fallback" });
+  T.emit tracer (E.Lp_solved { iters = 7; updates = 5; seconds = 0.25 });
+  T.emit tracer ~worker:1 (E.Lp_solved { iters = 3; updates = 2; seconds = 0.5 });
+  T.emit tracer (E.Presolved { rounds = 3; changes = 9; infeasible = false });
+  T.emit tracer (E.Presolved { rounds = 1; changes = 0; infeasible = true });
+  let snap = R.snapshot reg in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check int) name v (R.Counter.value (R.counter reg name)))
+    [
+      ("rfloor_lp_factorizations_total", 2);
+      ("rfloor_lp_warm_starts_total", 1);
+      ("rfloor_lp_warm_fallbacks_total", 2);
+      ("rfloor_lp_ft_updates_total", 7);
+      ("rfloor_presolve_rounds_total", 4);
+      ("rfloor_presolve_bound_changes_total", 9);
+      ("rfloor_presolve_infeasible_total", 1);
+    ];
+  let hist name =
+    List.find_map
+      (function
+        | R.Snapshot.Histogram h when h.name = name -> Some (h.count, h.sum)
+        | _ -> None)
+      snap
+  in
+  Alcotest.(check (option (pair int (float 1e-9)))) "iterations per lp"
+    (Some (2, 10.)) (hist "rfloor_simplex_iterations_per_lp");
+  Alcotest.(check (option (pair int (float 1e-9)))) "lp seconds"
+    (Some (2, 0.75)) (hist "rfloor_lp_solve_seconds");
   (* a dead registry must hand back the null sink *)
   Alcotest.(check bool) "null registry folds to null sink" true
     (T.Sink.is_null (Rfloor_metrics.Trace_sink.sink R.null))
 
-(* ---- solver integration: direct instrumentation ---- *)
+(* ---- solver integration: the trace fold ---- *)
+
+(* Solves [part]/[spec] with a live registry and checks that the LP
+   series the fold builds agree exactly with the outcome's own totals. *)
+let check_solver_metrics ~time_limit part spec =
+  let metrics = R.create () in
+  let ring = T.Ring.create () in
+  let options =
+    Rfloor.Solver.Options.make ~time_limit ~trace:(T.Ring.sink ring)
+      ~metrics ()
+  in
+  let o = Rfloor.Solver.solve ~options part spec in
+  Alcotest.(check bool) "solved" true (o.Rfloor.Solver.status = Rfloor.Solver.Optimal);
+  let snap = R.snapshot metrics in
+  let hist name =
+    List.fold_left
+      (fun (c, s) -> function
+        | R.Snapshot.Histogram h when h.name = name -> (c + h.count, s +. h.sum)
+        | _ -> (c, s))
+      (0, 0.) snap
+  in
+  (* one observation per branch-and-bound node LP, summing to the
+     outcome's pivot total *)
+  let iter_count, iter_sum = hist "rfloor_simplex_iterations_per_lp" in
+  Alcotest.(check int) "one iterations observation per node"
+    o.Rfloor.Solver.nodes iter_count;
+  Alcotest.(check int) "iterations histogram sums to the pivot total"
+    o.Rfloor.Solver.simplex_iterations (int_of_float iter_sum);
+  Alcotest.(check int) "one lp-seconds observation per node"
+    o.Rfloor.Solver.nodes (fst (hist "rfloor_lp_solve_seconds"));
+  let counter name = R.Counter.value (R.counter metrics name) in
+  (* every node below a root carries its parent's basis, so each one
+     ends in exactly one warm start or one fallback *)
+  let warm_nodes =
+    List.length
+      (List.filter
+         (fun (e : E.t) ->
+           match e.E.payload with
+           | E.Node_explored { depth; _ } -> depth > 0
+           | _ -> false)
+         (T.Ring.events ring))
+  in
+  Alcotest.(check int) "warm starts + fallbacks = nodes with a parent basis"
+    warm_nodes
+    (counter "rfloor_lp_warm_starts_total"
+    + counter "rfloor_lp_warm_fallbacks_total");
+  (* the Solver runs no Gomory round (gomory_rounds = 0), so every cut
+     row the fold counts is a model-build row *)
+  Alcotest.(check bool) "model-build cut rows counted" true
+    (o.Rfloor.Solver.report.T.Report.cuts > 0);
+  Alcotest.(check int) "cuts_total = report cuts"
+    o.Rfloor.Solver.report.T.Report.cuts (counter "rfloor_cuts_total");
+  (snap, warm_nodes)
 
 let test_solver_populates_metrics () =
   let part = Device.Partition.columnar_exn Device.Devices.mini in
@@ -217,32 +315,24 @@ let test_solver_populates_metrics () =
         { Device.Spec.r_name = "R2"; demand = [ (Device.Resource.Dsp, 1) ] };
       ]
   in
-  let metrics = R.create () in
-  let options =
-    Rfloor.Solver.Options.make ~time_limit:10. ~metrics ()
+  let snap, _ = check_solver_metrics ~time_limit:10. part spec in
+  (* a branching instance, so warm starts and fallbacks really occur *)
+  let ok = function
+    | Ok v -> v
+    | Error d -> Alcotest.failf "%a" Rfloor_diag.Diagnostic.pp d
   in
-  let o = Rfloor.Solver.solve ~options part spec in
-  Alcotest.(check bool) "solved" true (o.Rfloor.Solver.status = Rfloor.Solver.Optimal);
-  let snap = R.snapshot metrics in
-  let hist_count name =
-    List.fold_left
-      (fun acc -> function
-        | R.Snapshot.Histogram h when h.name = name -> acc + h.count
-        | _ -> acc)
-      0 snap
+  let grid = ok (Device.Io.parse_grid "name: tiny\nccbccdccbc\nccbccdccbc\n") in
+  let tiny =
+    ok
+      (Device.Io.parse_spec
+         "name: toy\nregion filter clb=2 bram=1\nregion decoder clb=2 dsp=1\n\
+          net filter decoder 32\n")
   in
-  Alcotest.(check bool) "lp time histogram populated" true
-    (hist_count "rfloor_lp_solve_seconds" > 0);
-  Alcotest.(check bool) "simplex pivots histogram populated" true
-    (hist_count "rfloor_simplex_iterations_per_lp" > 0);
-  (* the Solver runs no Gomory round (gomory_rounds = 0), so every cut
-     row the trace fold counts is a model-build row *)
-  let counter name = R.Counter.value (R.counter metrics name) in
-  Alcotest.(check bool) "model-build cut rows counted" true
-    (counter "rfloor_cuts_applied_total" > 0);
-  Alcotest.(check int) "cuts_total = cuts_applied_total without Gomory"
-    (counter "rfloor_cuts_applied_total")
-    (counter "rfloor_cuts_total");
+  let _, warm_nodes =
+    check_solver_metrics ~time_limit:60. (Device.Partition.columnar_exn grid)
+      tiny
+  in
+  Alcotest.(check bool) "the tiny instance branches" true (warm_nodes > 0);
   (* the trace fold ran too: phases were recorded *)
   Alcotest.(check bool) "phase series populated" true
     (List.exists

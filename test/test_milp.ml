@@ -508,6 +508,17 @@ module R = Rfloor_metrics.Registry
 
 let counter reg name = R.Counter.value (R.counter reg name)
 
+(* A tracer whose events are folded into [reg] and kept in [ring]: the
+   LP counters reach a registry only through the trace stream. *)
+let traced_registry () =
+  let reg = R.create () and ring = Rfloor_trace.Ring.create () in
+  let sink =
+    Rfloor_trace.Sink.tee
+      (Rfloor_metrics.Trace_sink.sink reg)
+      (Rfloor_trace.Ring.sink ring)
+  in
+  (reg, ring, Rfloor_trace.create ~sink ())
+
 (* Beale's classic cycling LP: Dantzig-style pricing with fixed
    tie-breaking cycles forever on it; the anti-cycling path (degenerate
    streak -> Bland's rule) must terminate at the optimum -1/20. *)
@@ -536,12 +547,11 @@ let test_warm_dual_infeasible_falls_back () =
   Lp.add_constr lp [ (1., x) ] Lp.Le 7.;
   Lp.set_objective lp Lp.Maximize [ (1., x) ];
   let core = Simplex.Core.of_lp lp in
-  let reg = R.create () in
-  let instr = Simplex.instruments reg in
+  let reg, _, trace = traced_registry () in
   (* parent: x fixed at 0 (think "branched down to zero") *)
   let fixed = [| 0. |] in
   let parent_r, parent_basis =
-    Simplex.Core.solve_warm ~lb:fixed ~ub:fixed ~instr core
+    Simplex.Core.solve_warm ~lb:fixed ~ub:fixed ~trace core
   in
   Alcotest.(check bool) "parent optimal" true
     (parent_r.Simplex.status = Simplex.Optimal);
@@ -549,20 +559,22 @@ let test_warm_dual_infeasible_falls_back () =
   let warm_before = counter reg "rfloor_lp_warm_starts_total" in
   (* child widens the bounds back out: dual infeasible warm start *)
   let r, _ =
-    Simplex.Core.solve_warm ~lb:[| 0. |] ~ub:[| 5. |] ~warm:parent ~instr core
+    Simplex.Core.solve_warm ~lb:[| 0. |] ~ub:[| 5. |] ~warm:parent ~trace core
   in
   Alcotest.(check bool) "fallback solved" true (r.Simplex.status = Simplex.Optimal);
   check_float "fallback objective" 5. r.Simplex.objective;
   Alcotest.(check int) "warm counter untouched by the fallback" warm_before
     (counter reg "rfloor_lp_warm_starts_total");
+  Alcotest.(check int) "fallback counted" 1
+    (counter reg "rfloor_lp_warm_fallbacks_total");
   (* positive control: a bound tightening keeps the parent basis dual
      feasible, and the dual path must serve it warm *)
-  let root_r, root_basis = Simplex.Core.solve_warm ~instr core in
+  let root_r, root_basis = Simplex.Core.solve_warm ~trace core in
   Alcotest.(check bool) "root optimal" true (root_r.Simplex.status = Simplex.Optimal);
   let root = Option.get root_basis in
   let warm_before = counter reg "rfloor_lp_warm_starts_total" in
   let r, _ =
-    Simplex.Core.solve_warm ~lb:[| 0. |] ~ub:[| 3. |] ~warm:root ~instr core
+    Simplex.Core.solve_warm ~lb:[| 0. |] ~ub:[| 3. |] ~warm:root ~trace core
   in
   Alcotest.(check bool) "warm child optimal" true (r.Simplex.status = Simplex.Optimal);
   check_float "warm child objective" 3. r.Simplex.objective;
@@ -597,8 +609,8 @@ let test_refactor_trigger () =
        (Array.map
           (fun x -> (float_of_int (Generators.Prng.range prng 1 9), x))
           xs));
-  let reg = R.create () in
-  let r = Simplex.solve ~metrics:reg lp in
+  let reg, ring, trace = traced_registry () in
+  let r = Simplex.solve ~trace lp in
   Alcotest.(check bool) "mill optimal" true (r.Simplex.status = Simplex.Optimal);
   let reference = Reference_simplex.solve lp in
   Alcotest.(check bool) "reference optimal" true
@@ -613,7 +625,37 @@ let test_refactor_trigger () =
   (* initial + at least one periodic + final *)
   Alcotest.(check bool)
     (Printf.sprintf "periodic refactorization happened (%d factors)" factors)
-    true (factors >= 3)
+    true (factors >= 3);
+  (* every factorization names one of the documented reasons *)
+  let reasons =
+    List.filter_map
+      (fun (e : Rfloor_trace.Event.t) ->
+        match e.Rfloor_trace.Event.payload with
+        | Rfloor_trace.Event.Lp_refactor { reason } -> Some reason
+        | _ -> None)
+      (Rfloor_trace.Ring.events ring)
+  in
+  Alcotest.(check int) "one event per factorization" factors
+    (List.length reasons);
+  List.iter
+    (fun reason ->
+      if
+        not
+          (List.mem reason [ "initial"; "warm"; "final"; "periodic"; "stability" ])
+      then Alcotest.failf "undocumented refactor reason %S" reason)
+    reasons;
+  (* the standalone solve is reported once, with its update count *)
+  let solved =
+    List.filter_map
+      (fun (e : Rfloor_trace.Event.t) ->
+        match e.Rfloor_trace.Event.payload with
+        | Rfloor_trace.Event.Lp_solved { iters; updates; _ } ->
+          Some (iters, updates)
+        | _ -> None)
+      (Rfloor_trace.Ring.events ring)
+  in
+  Alcotest.(check (list (pair int int))) "one Lp_solved event"
+    [ (r.Simplex.iterations, ft) ] solved
 
 (* Ill-conditioned (Hilbert-like) constraint rows: the sparse LU with
    partial pivoting and stability-triggered refactorization must still

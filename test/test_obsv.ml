@@ -333,13 +333,19 @@ let test_statusz_document () =
 (* Perfetto export *)
 
 (* A small two-worker trace with a portfolio member on the striped id
-   range: spans, nodes, an incumbent and a stop. *)
+   range: spans, a presolve pass, nodes with their LP solves, an
+   incumbent and a stop. *)
 let sample_events () =
   let ring = T.Ring.create () in
   let tr = T.create ~sink:(T.Ring.sink ring) () in
+  T.span tr ~worker:0 T.Event.Presolve (fun () ->
+      T.emit tr
+        (T.Event.Presolved { rounds = 2; changes = 5; infeasible = false }));
   T.span tr ~worker:0 T.Event.Build (fun () ->
       T.span tr ~worker:0 T.Event.Root_lp (fun () ->
-          T.node_explored tr ~iters:11 ~worker:0 ~depth:0 ~bound:1.));
+          T.node_explored tr ~iters:11 ~worker:0 ~depth:0 ~bound:1.;
+          T.emit tr ~worker:0
+            (T.Event.Lp_solved { iters = 11; updates = 9; seconds = 0.002 })));
   T.span tr ~worker:1 T.Event.Branch_bound (fun () ->
       T.node_explored tr ~iters:7 ~worker:1 ~depth:1 ~bound:2.;
       T.incumbent tr ~worker:1 ~objective:3. ~node:2);
@@ -361,6 +367,10 @@ let test_perfetto_export () =
   Alcotest.(check bool) "names the member track" true
     (contains doc "combinatorial");
   Alcotest.(check bool) "phase slices present" true (contains doc "root_lp");
+  Alcotest.(check bool) "lp solve instant present" true
+    (contains doc "\"lp_solved\"");
+  Alcotest.(check bool) "presolve instant present" true
+    (contains doc "\"presolved\"");
   (* JSONL -> Perfetto agrees with the direct export (fixpoint) *)
   let jsonl =
     String.concat "" (List.map (fun e -> T.Event.to_json e ^ "\n") events)

@@ -19,6 +19,12 @@ let sample_events =
     { E.at = 0.009; worker = 0; payload = E.Warning "a \"quoted\"\nwarning" };
     { E.at = 0.010; worker = 0; payload = E.Message "hello" };
     { E.at = 0.011; worker = 1; payload = E.Stopped { reason = "cancel" } };
+    { E.at = 0.012; worker = 1;
+      payload = E.Lp_solved { iters = 37; updates = 35; seconds = 0.00125 } };
+    { E.at = 0.013; worker = 0;
+      payload = E.Presolved { rounds = 3; changes = 12; infeasible = false } };
+    { E.at = 0.014; worker = 0;
+      payload = E.Presolved { rounds = 1; changes = 0; infeasible = true } };
   ]
 
 (* nan bounds render as null and come back as nan, so compare via the
@@ -48,6 +54,9 @@ let test_json_rejects () =
       ("node without depth", {|{"t":0.1,"w":0,"ev":"node","bound":1.5}|});
       ("trailing garbage", {|{"t":0.1,"w":0,"ev":"idle"} extra|});
       ("duplicate field", {|{"t":0.1,"t":0.2,"w":0,"ev":"idle"}|});
+      ( "presolve flag not a boolean",
+        {|{"t":0.1,"w":0,"ev":"presolve","rounds":1,"changes":0,"infeasible":1}|} );
+      ("lp without seconds", {|{"t":0.1,"w":0,"ev":"lp","iters":1,"updates":1}|});
     ]
   in
   List.iter
@@ -84,17 +93,27 @@ let test_ring_capacity () =
   Alcotest.(check int) "clear empties" 0 (List.length (T.Ring.events ring));
   Alcotest.(check int) "clear resets dropped" 0 (T.Ring.dropped ring)
 
-(* Node events are sampled by the migration shim (one line per
+(* Runs [f] on a tracer over a {!T.Sink.text} sink writing to a temp
+   file and returns the lines it wrote, in order. *)
+let text_sink_lines ~progress_every f =
+  let path = Filename.temp_file "rfloor_text" ".log" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_text path (fun oc ->
+      f (T.create ~sink:(T.Sink.text ~progress_every oc) ()));
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+(* Node events are sampled by the text sink (one line per
    [progress_every]); everything else passes through. *)
-let test_log_fn_sampling () =
-  let lines = ref [] in
-  let sink = T.Sink.of_log_fn ~progress_every:10 (fun l -> lines := l :: !lines) in
-  let tracer = T.create ~sink () in
-  for _ = 1 to 25 do
-    T.node_explored tracer ~iters:0 ~worker:0 ~depth:1 ~bound:0.
-  done;
-  T.messagef tracer "hello %d" 42;
-  let lines = List.rev !lines in
+let test_text_sampling () =
+  let lines =
+    text_sink_lines ~progress_every:10 (fun tracer ->
+        for _ = 1 to 25 do
+          T.node_explored tracer ~iters:0 ~worker:0 ~depth:1 ~bound:0.
+        done;
+        T.messagef tracer "hello %d" 42)
+  in
   Alcotest.(check int) "2 sampled node lines + 1 message" 3 (List.length lines);
   let has_sub needle hay =
     let n = String.length needle and h = String.length hay in
@@ -134,23 +153,22 @@ let test_ring_concurrent_wraparound () =
       | p -> Alcotest.failf "unexpected event %s" (E.name p))
     events
 
-(* Same exercise through the of_log_fn migration shim: the callback
-   must never run concurrently, so appending to a plain list is safe
-   and every line arrives whole. *)
-let test_log_fn_concurrent () =
-  let lines = ref [] in
-  let sink = T.Sink.of_log_fn ~progress_every:1 (fun l -> lines := l :: !lines) in
-  let tracer = T.create ~sink () in
+(* Same exercise through the text sink: its writes must never run
+   concurrently, so every line reaches the channel whole. *)
+let test_text_concurrent () =
   let domains = 4 and per_domain = 200 in
-  let worker w () =
-    for i = 1 to per_domain do
-      T.messagef tracer "w%d-%d" w i
-    done
+  let lines =
+    text_sink_lines ~progress_every:1 (fun tracer ->
+        let worker w () =
+          for i = 1 to per_domain do
+            T.messagef tracer "w%d-%d" w i
+          done
+        in
+        List.init domains (fun w -> Domain.spawn (worker w))
+        |> List.iter Domain.join)
   in
-  List.init domains (fun w -> Domain.spawn (worker w))
-  |> List.iter Domain.join;
   Alcotest.(check int) "every line delivered" (domains * per_domain)
-    (List.length !lines);
+    (List.length lines);
   let seen = Hashtbl.create 1024 in
   List.iter
     (fun l ->
@@ -161,7 +179,7 @@ let test_log_fn_concurrent () =
         if Hashtbl.mem seen (w, i) then Alcotest.failf "duplicate line %s" l;
         Hashtbl.add seen (w, i) ()
       | _ -> Alcotest.failf "torn or malformed line %S" l)
-    !lines
+    lines
 
 let test_disabled_and_null () =
   Alcotest.(check bool) "disabled not live" false (T.live T.disabled);
@@ -229,9 +247,11 @@ let test_validate_jsonl () =
   let tracer = T.create ~sink () in
   T.span tracer E.Build (fun () -> ());
   T.incumbent tracer ~worker:0 ~objective:1. ~node:1;
+  T.emit tracer (E.Lp_solved { iters = 4; updates = 3; seconds = 0.5 });
+  T.emit tracer (E.Presolved { rounds = 2; changes = 7; infeasible = false });
   close ();
   (match T.validate_jsonl (read_file path) with
-  | Ok n -> Alcotest.(check int) "3 events" 3 n
+  | Ok n -> Alcotest.(check int) "5 events" 5 n
   | Error m -> Alcotest.failf "valid trace rejected: %s" m);
   (* an unbalanced span must be rejected *)
   match
@@ -321,12 +341,12 @@ let suites =
         Alcotest.test_case "phase names round trip" `Quick test_phase_names;
         Alcotest.test_case "ring buffer capacity and clear" `Quick
           test_ring_capacity;
-        Alcotest.test_case "log-fn shim samples node events" `Quick
-          test_log_fn_sampling;
+        Alcotest.test_case "text sink samples node events" `Quick
+          test_text_sampling;
         Alcotest.test_case "ring wraparound under 4 domains" `Quick
           test_ring_concurrent_wraparound;
-        Alcotest.test_case "log-fn shim serialized under 4 domains" `Quick
-          test_log_fn_concurrent;
+        Alcotest.test_case "text sink serialized under 4 domains" `Quick
+          test_text_concurrent;
         Alcotest.test_case "disabled vs null-sink tracers" `Quick
           test_disabled_and_null;
         Alcotest.test_case "spans time phases and survive raises" `Quick
