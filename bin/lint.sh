@@ -14,9 +14,10 @@
 #                                instance with --trace jsonl, validate
 #                                the capture and the --metrics json
 #                                snapshot (LP series present, no
-#                                rfloor_trace_lp_* left), and check the
-#                                result is byte-identical with tracing
-#                                off
+#                                rfloor_trace_lp_* left, warm-start
+#                                fallbacks at most a tenth of the warm
+#                                starts), and check the result is
+#                                byte-identical with tracing off
 #   bin/lint.sh bench-smoke   -- bench-artifact gate only: run the quick
 #                                (mini-device) bench set on a 2s budget,
 #                                validate the artifact and require a
@@ -141,6 +142,23 @@ EOF
         echo "trace-check: metrics snapshot still holds rfloor_trace_lp_* series" >&2
         exit 1
     fi
+    # The warm dual simplex finishes branch-and-bound children: cold
+    # fallbacks, summed over every reason label, stay within a tenth of
+    # the warm starts.  Before the bound-flipping ratio test and the
+    # Farkas exit this solve read about 200 fallbacks against 115 warm
+    # starts; with them it reads 0 against about 225 (2 workers, so
+    # the counts move by a few between runs).
+    series_sum() {
+        grep -oE "\"name\":\"$1\",\"kind\":\"counter\",\"help\":\"[^\"]*\",\"labels\":\{[^}]*\},\"value\":[0-9]+" \
+            "$tmp/metrics.json" | sed 's/.*"value"://' \
+            | awk '{ s += $1 } END { print s + 0 }'
+    }
+    warm=$(series_sum rfloor_lp_warm_starts_total)
+    fallbacks=$(series_sum rfloor_lp_warm_fallbacks_total)
+    if [ "$warm" -eq 0 ] || [ $((fallbacks * 10)) -gt "$warm" ]; then
+        echo "trace-check: $fallbacks warm-start fallbacks against $warm warm starts (limit: a tenth)" >&2
+        exit 1
+    fi
     dune exec bin/rfloor_cli.exe -- solve \
         --device-file "$tmp/device.txt" --design-file "$tmp/design.txt" \
         --strategy milp:2 --time 30 \
@@ -155,7 +173,7 @@ EOF
             exit 1
         fi
     done
-    echo "trace-check passed (schema valid, result identical with tracing off)"
+    echo "trace-check passed (schema valid, $fallbacks warm fallbacks vs $warm warm starts, result identical with tracing off)"
 }
 
 serve_smoke() {

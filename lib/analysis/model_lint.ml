@@ -16,18 +16,44 @@ let family_of_name name =
 
 (* Range of a row's left-hand side over the variable bounds box. *)
 let activity_range lp terms =
-  List.fold_left
-    (fun (lo, hi) (c, v) ->
+  let lo = ref 0. and hi = ref 0. and rest = ref terms in
+  while !rest <> [] do
+    match !rest with
+    | [] -> ()
+    | (c, v) :: tl ->
       let lb = Lp.var_lb lp v and ub = Lp.var_ub lp v in
-      if c >= 0. then (lo +. (c *. lb), hi +. (c *. ub))
-      else (lo +. (c *. ub), hi +. (c *. lb)))
-    (0., 0.) terms
+      if c >= 0. then begin
+        lo := !lo +. (c *. lb);
+        hi := !hi +. (c *. ub)
+      end
+      else begin
+        lo := !lo +. (c *. ub);
+        hi := !hi +. (c *. lb)
+      end;
+      rest := tl
+  done;
+  (!lo, !hi)
 
-(* Canonical key of a row's terms: sorted by variable. *)
+(* Canonical key of a row's terms: sorted by variable, compared and
+   hashed structurally (exact coefficients). *)
 let terms_key terms =
-  List.sort (fun (_, v1) (_, v2) -> Stdlib.compare v1 v2) terms
-  |> List.map (fun (c, v) -> Printf.sprintf "%d:%.12g" v c)
-  |> String.concat ","
+  let a = Array.of_list terms in
+  Array.sort (fun (_, v1) (_, v2) -> Int.compare v1 v2) a;
+  a
+
+(* Smallest and largest coefficient magnitude of a nonempty row. *)
+let magnitude_range terms =
+  let lo = ref infinity and hi = ref 0. and rest = ref terms in
+  while !rest <> [] do
+    match !rest with
+    | [] -> ()
+    | (c, _) :: tl ->
+      let m = abs_float c in
+      if m < !lo then lo := m;
+      if m > !hi then hi := m;
+      rest := tl
+  done;
+  (!lo, !hi)
 
 let sense_str = function Lp.Le -> "<=" | Lp.Ge -> ">=" | Lp.Eq -> "="
 
@@ -73,14 +99,14 @@ let run ?(spread_threshold = 1e8) lp =
                 variable bounds"
                lo hi (sense_str sense) rhs));
       let tkey = terms_key terms in
-      let ekey = Printf.sprintf "%s|%s|%.12g" tkey (sense_str sense) rhs in
+      let ekey = (tkey, sense, rhs) in
       (match Hashtbl.find_opt seen_exact ekey with
       | Some first ->
         add
           (D.diagf ~code:"RF102" D.Warning (D.Constraint name)
              "duplicate of row %s (same terms, sense and rhs)" first)
       | None -> Hashtbl.replace seen_exact ekey name);
-      let skey = Printf.sprintf "%s|%s" tkey (sense_str sense) in
+      let skey = (tkey, sense) in
       (match Hashtbl.find_opt seen_terms skey with
       | Some (first, first_rhs) when first_rhs <> rhs -> (
         match sense with
@@ -102,15 +128,13 @@ let run ?(spread_threshold = 1e8) lp =
                "dominated by a row with the same terms and a tighter rhs"))
       | Some _ -> () (* exact duplicate, already RF102 *)
       | None -> Hashtbl.replace seen_terms skey (name, rhs));
-      let fam = family_of_name name in
-      List.iter
-        (fun (c, _) ->
-          let m = abs_float c in
-          match Hashtbl.find_opt families fam with
-          | Some (lo, hi) ->
-            Hashtbl.replace families fam (min lo m, max hi m)
-          | None -> Hashtbl.replace families fam (m, m))
-        terms);
+      if terms <> [] then begin
+        let fam = family_of_name name in
+        let lo, hi = magnitude_range terms in
+        match Hashtbl.find_opt families fam with
+        | Some (lo', hi') -> Hashtbl.replace families fam (min lo lo', max hi hi')
+        | None -> Hashtbl.replace families fam (lo, hi)
+      end);
   (* variables *)
   let fixed = ref [] and nfixed = ref 0 in
   for v = 0 to Lp.num_vars lp - 1 do

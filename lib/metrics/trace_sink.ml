@@ -61,9 +61,12 @@ let sink reg =
         ~help:"LP re-solves served warm by the dual simplex from a parent basis"
         "rfloor_lp_warm_starts_total"
     in
-    let warm_fallbacks =
-      lazy_counter
+    (* one series per reason; registration is idempotent, and a
+       fallback is rare enough to look its series up each time *)
+    let warm_fallback reason =
+      Registry.counter reg
         ~help:"Warm-start LP re-solves that fell back to a cold solve"
+        ~labels:[ ("reason", reason) ]
         "rfloor_lp_warm_fallbacks_total"
     in
     let ft_updates =
@@ -164,8 +167,9 @@ let sink reg =
         | E.Restart _ -> Registry.Counter.incr restarts
         | E.Stopped _ -> Registry.Counter.incr stops
         | E.Lp_refactor _ -> bump factorizations
-        | E.Lp_warm { result = "dual" } -> bump warm_starts
-        | E.Lp_warm _ -> bump warm_fallbacks
+        | E.Lp_warm { fallback = None } -> bump warm_starts
+        | E.Lp_warm { fallback = Some reason } ->
+          Registry.Counter.incr (warm_fallback reason)
         | E.Lp_solved { iters; updates; seconds } ->
           Registry.Histogram.observe (Lazy.force lp_seconds) seconds;
           Registry.Histogram.observe (Lazy.force lp_iters) (float_of_int iters);

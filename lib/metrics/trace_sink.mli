@@ -20,7 +20,9 @@
       [rfloor_trace_moves_total], [rfloor_trace_events_total];
     - from [Lp_refactor], [Lp_warm], [Lp_solved] and [Presolved]: the
       [rfloor_lp_*], [rfloor_simplex_iterations_per_lp] and
-      [rfloor_presolve_*] series, each registered on its first event.
+      [rfloor_presolve_*] series, each registered on its first event;
+      warm-start fallbacks count per reason in
+      [rfloor_lp_warm_fallbacks_total{reason=...}].
 
     This fold is the only route by which solver-layer facts reach a
     registry, and the one place each of these series is defined.

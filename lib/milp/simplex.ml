@@ -4,21 +4,29 @@
    {!Lu} ftran/btran solves against a sparse LU of the basis, extended
    by product-form etas after each pivot and refactorized from scratch
    when the eta file grows past its cap, accumulates fill, or absorbs a
-   pivot too small to trust.  Pricing is devex (reference-framework
-   weights, reset on phase switches or weight blow-up) with a
-   Bland's-rule fallback after a long degenerate streak; the ratio test
-   is a two-pass Harris test that relaxes bounds by a small tolerance
-   in pass one and then picks the numerically largest eligible pivot.
+   pivot too small to trust.  Pricing reads maintained reduced costs
+   [d], recomputed by one btran of the costs at the start of every
+   [iterate] and after every fresh factorization, and otherwise updated
+   from the pivot row that the basis change computes anyway.  It is
+   devex (reference-framework weights, reset on phase switches or
+   weight blow-up) with a Bland's-rule fallback after a long degenerate
+   streak; the ratio test is a two-pass Harris test that relaxes bounds
+   by a small tolerance in pass one and then picks the numerically
+   largest eligible pivot.
 
    Besides the classic cold two-phase primal solve there is a dual
    simplex path ({!Core.solve_warm}) for branch-and-bound children: a
    parent-optimal basis stays dual feasible after a branching bound
    flip, so the child re-solve starts from the parent {!Basis.t}
-   snapshot and drives out primal infeasibility with dual pivots.
-   Every doubt on that path — singular factorization, dual
-   infeasibility beyond tolerance, no eligible entering column, an
-   overshot entering bound, an iteration cap — falls back to the cold
-   solve, which remains the correctness anchor. *)
+   snapshot and drives out primal infeasibility with dual pivots.  Its
+   ratio test flips boxed candidates whose whole range cannot repair
+   the leaving row (bound flipping), and a row that no candidate can
+   repair is a Farkas proof that the child is infeasible.  Every
+   remaining doubt on that path — a snapshot that does not fit,
+   singular factorization, dual infeasibility beyond tolerance, an
+   iteration cap, a pivot too small to trust, a Farkas margin within
+   tolerance, a failed primal cleanup — falls back to the cold solve,
+   which remains the correctness anchor. *)
 
 type status = Optimal | Infeasible | Unbounded | Iter_limit
 
@@ -142,6 +150,13 @@ type state = {
   w : float array; (* ftran image of the entering column, scratch *)
   rho : float array; (* btran image of a unit vector (pivot row), scratch *)
   dw : float array; (* devex reference weights, length total *)
+  d : float array; (* reduced costs of the non-fixed nonbasics, length total *)
+  mutable d_fresh : bool; (* [d] recomputed since the last pivot *)
+  arow : float array; (* dual pivot row alpha_rj of the non-fixed nonbasics *)
+  cand : int array; (* bound-flipping ratio test breakpoints ... *)
+  cand_t : float array; (* ... and their ratios |d_j / alpha_rj| *)
+  mutable flip_lo : int; (* cand.(flip_lo .. flip_hi - 1) flip bounds *)
+  mutable flip_hi : int;
   mutable iters : int;
   mutable ecap : int; (* current eta cap (pushed out on singular refactor) *)
   mutable degen_streak : int;
@@ -208,15 +223,6 @@ let refactor st reason =
   factorize st reason;
   compute_basics st
 
-(* Refactorization on the eta-file triggers; a singular fresh factor
-   keeps the still-valid eta file and pushes the cap out instead. *)
-let maybe_refactor st =
-  if Lu.needs_refactor ~cap:st.ecap st.lu then begin
-    let reason = if Lu.unstable st.lu then "stability" else "periodic" in
-    try refactor st reason
-    with Singular_basis -> st.ecap <- Lu.eta_count st.lu + Lu.base_eta_cap
-  end
-
 (* w := B^-1 * column j *)
 let ftran st j =
   let core = st.core and w = st.w in
@@ -268,11 +274,35 @@ let[@inline] row_coef st j =
   end
   else 0. +. st.rho.(unit_row core j) (* as summed: a -0. entry reads +0. *)
 
-(* Devex reference-framework weight update after a basis change: [q]
-   enters, position [r] leaves, [arq] is the pivot element.  Uses the
-   pre-update factorization, so it must run before [Lu.update]. *)
-let devex_update st r q arq =
+(* d := reduced costs from one btran of the costs.  Fixed columns
+   never enter, so their entries are left at 0. *)
+let refresh_duals st =
+  btran_costs st;
+  for j = 0 to st.total - 1 do
+    st.d.(j) <-
+      (if st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j) then reduced_cost st j
+       else 0.)
+  done;
+  st.d_fresh <- true
+
+(* Refactorization on the eta-file triggers; a singular fresh factor
+   keeps the still-valid eta file and pushes the cap out instead. *)
+let maybe_refactor st =
+  if Lu.needs_refactor ~cap:st.ecap st.lu then begin
+    let reason = if Lu.unstable st.lu then "stability" else "periodic" in
+    match refactor st reason with
+    | () -> refresh_duals st
+    | exception Singular_basis -> st.ecap <- Lu.eta_count st.lu + Lu.base_eta_cap
+  end
+
+(* Primal basis change bookkeeping from the pivot row: [q] enters,
+   position [r] leaves, [arq] is the pivot element.  Updates the
+   reduced costs d_j -= (d_q / arq) * alpha_rj and, unless in Bland
+   mode, the devex reference weights.  Uses the pre-update
+   factorization, so it must run before [Lu.update]. *)
+let pivot_update st ~bland r q arq =
   pivot_row st r;
+  let theta = st.d.(q) /. arq in
   let wq = st.dw.(q) in
   let arq2 = arq *. arq in
   let maxw = ref 0. in
@@ -280,20 +310,29 @@ let devex_update st r q arq =
     if j <> q && st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
       let arj = row_coef st j in
       if arj <> 0. then begin
-        let cand = wq *. (arj *. arj) /. arq2 in
-        if cand > st.dw.(j) then st.dw.(j) <- cand
+        st.d.(j) <- st.d.(j) -. (theta *. arj);
+        if not bland then begin
+          let cand = wq *. (arj *. arj) /. arq2 in
+          if cand > st.dw.(j) then st.dw.(j) <- cand
+        end
       end;
       if st.dw.(j) > !maxw then maxw := st.dw.(j)
     end
   done;
-  st.dw.(st.basis.(r)) <- Float.max (wq /. arq2) 1.;
-  if !maxw > devex_reset then Array.fill st.dw 0 st.total 1.
+  let out = st.basis.(r) in
+  st.d.(out) <- -.theta;
+  st.d.(q) <- 0.;
+  st.d_fresh <- false;
+  if not bland then begin
+    st.dw.(out) <- Float.max (wq /. arq2) 1.;
+    if !maxw > devex_reset then Array.fill st.dw 0 st.total 1.
+  end
 
-(* Entering-variable choice.  Returns (j, sigma) where sigma = +1 to
-   increase from lower bound, -1 to decrease from upper bound.  Devex
-   score d^2 / weight; Bland mode takes the first improving index. *)
+(* Entering-variable choice on the maintained reduced costs.  Returns
+   (j, sigma) where sigma = +1 to increase from lower bound, -1 to
+   decrease from upper bound.  Devex score d^2 / weight; Bland mode
+   takes the first improving index. *)
 let price st ~bland =
-  btran_costs st;
   let best = ref (-1) and best_sigma = ref 1. and best_score = ref 0. in
   (* Bland mode stops at the first improving index *)
   let next = ref 0 in
@@ -301,7 +340,7 @@ let price st ~bland =
     let j = !next in
     incr next;
     if st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
-      let d = reduced_cost st j in
+      let d = st.d.(j) in
       let at_lb = st.x.(j) <= st.lb.(j) +. feas_eps in
       let at_ub = st.x.(j) >= st.ub.(j) -. feas_eps in
       let free = (not at_lb) && not at_ub in
@@ -437,7 +476,7 @@ let step st ~bland j sigma =
       done;
     let out = st.basis.(r) in
     st.x.(out) <- (if to_ub then st.ub.(out) else st.lb.(out));
-    if not bland then devex_update st r j st.w.(r);
+    pivot_update st ~bland r j st.w.(r);
     Lu.update st.lu r st.w;
     incr st.updates;
     st.basis.(r) <- j;
@@ -447,6 +486,7 @@ let step st ~bland j sigma =
     Step_ok
 
 let iterate st ~max_iters ~phase1 =
+  refresh_duals st;
   let unbounded = ref false and hit_limit = ref false in
   let continue_ = ref true in
   while !continue_ do
@@ -457,7 +497,9 @@ let iterate st ~max_iters ~phase1 =
     else begin
       let bland = st.degen_streak > bland_after in
       match price st ~bland with
-      | None -> continue_ := false
+      | None ->
+        (* optimality is only declared on freshly computed duals *)
+        if st.d_fresh then continue_ := false else refresh_duals st
       | Some (j, sigma) -> (
         st.iters <- st.iters + 1;
         match step st ~bland j sigma with
@@ -556,6 +598,13 @@ let make_state ~updates ~trace ~worker core wlb wub =
     w = Array.make m 0.;
     rho = Array.make m 0.;
     dw = Array.make total 1.;
+    d = Array.make total 0.;
+    d_fresh = false;
+    arow = Array.make total 0.;
+    cand = Array.make total 0;
+    cand_t = Array.make total 0.;
+    flip_lo = 0;
+    flip_hi = 0;
     iters = 0;
     ecap = Lu.base_eta_cap;
     degen_streak = 0;
@@ -680,189 +729,276 @@ let solve_core ?max_iters ?lb ?ub ?basis_sink ?snapshot_sink
 (* ------------------------------------------------------------------ *)
 (* Dual simplex warm start *)
 
+(* Why a warm attempt gave up; the label names the cold fallback in
+   the trace ([Lp_warm]).  Only raising it allocates, once, on the way
+   out of the attempt. *)
+exception Fallback of string
+
+let farkas_tol = 1e-6 (* remaining row infeasibility that proves the child infeasible *)
+let row_drop = 1e-11 (* pivot-row entries this small are rounding noise *)
+
+(* Breakpoint order of the bound-flipping ratio test: ascending ratio,
+   the larger pivot first among ties. *)
+let[@inline] before st a b =
+  let ta = st.cand_t.(a) and tb = st.cand_t.(b) in
+  ta < tb
+  || (ta = tb
+     && abs_float st.arow.(st.cand.(a)) > abs_float st.arow.(st.cand.(b)))
+
+let swap_cand st a b =
+  let j = st.cand.(a) and t = st.cand_t.(a) in
+  st.cand.(a) <- st.cand.(b);
+  st.cand_t.(a) <- st.cand_t.(b);
+  st.cand.(b) <- j;
+  st.cand_t.(b) <- t
+
+(* restore the min-heap property of cand.(0 .. size - 1) below [i] *)
+let rec sift_down st size i =
+  let l = (2 * i) + 1 in
+  if l < size then begin
+    let c = if l + 1 < size && before st (l + 1) l then l + 1 else l in
+    if before st c i then begin
+      swap_cand st c i;
+      sift_down st size c
+    end
+  end
+
+(* Room of nonbasic [j] towards its other bound; a nonbasic off both
+   bounds (free at zero) can move without limit. *)
+let[@inline] room st j =
+  if st.x.(j) <= st.lb.(j) +. feas_eps || st.x.(j) >= st.ub.(j) -. feas_eps then
+    st.ub.(j) -. st.lb.(j)
+  else infinity
+
+(* [dual_ratio] results besides an entering column *)
+let farkas_proof = -1 (* the row proves the child infeasible *)
+let farkas_doubt = -2 (* it nearly does: within [farkas_tol] *)
+
+(* Bound-flipping dual ratio test for the leaving row [r], whose basic
+   variable must move by [viol] > 0 in direction [dir] (+1 up to its
+   lower bound, -1 down to its upper bound) to reach [target].  The
+   candidates are the nonbasics whose move repairs the row; their
+   breakpoints |d_j / alpha_rj| are walked in ascending order from a
+   heap in [cand].  A boxed candidate whose whole range leaves the row
+   still infeasible flips to its other bound (the dual slope drops by
+   |alpha_rj| * range); the first candidate that absorbs the rest
+   enters and is returned.  The flips are left in
+   cand.(flip_lo .. flip_hi - 1).  With every candidate flipped, the
+   remaining slope is a Farkas certificate: the row cannot reach its
+   bound over the whole box.  Pivots at or below [pivot_eps] are never
+   chosen; their room is held against that certificate instead. *)
+let dual_ratio st r ~dir ~viol ~target =
+  pivot_row st r;
+  let k = ref 0 and tiny = ref 0. in
+  for j = 0 to st.total - 1 do
+    if st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
+      let arj = row_coef st j in
+      st.arow.(j) <- arj;
+      if abs_float arj > row_drop then begin
+        let at_lb = st.x.(j) <= st.lb.(j) +. feas_eps in
+        let at_ub = (not at_lb) && st.x.(j) >= st.ub.(j) -. feas_eps in
+        let s = arj *. dir in
+        let free = (not at_lb) && not at_ub in
+        if free || (at_lb && s < 0.) || (at_ub && s > 0.) then
+          if abs_float arj > pivot_eps then begin
+            let dj = st.d.(j) in
+            let slack = if free then abs_float dj else if at_lb then dj else -.dj in
+            st.cand.(!k) <- j;
+            st.cand_t.(!k) <- Float.max 0. slack /. abs_float arj;
+            incr k
+          end
+          else tiny := !tiny +. (abs_float arj *. room st j)
+      end
+    end
+  done;
+  for i = (!k / 2) - 1 downto 0 do
+    sift_down st !k i
+  done;
+  let slope = ref viol and hs = ref !k and q = ref (-1) in
+  while !q < 0 && !hs > 0 do
+    decr hs;
+    swap_cand st 0 !hs;
+    sift_down st !hs 0;
+    let j = st.cand.(!hs) in
+    let absorbed = abs_float st.arow.(j) *. room st j in
+    if !slope -. absorbed > feas_eps then slope := !slope -. absorbed
+    else q := j
+  done;
+  st.flip_lo <- (if !q >= 0 then !hs + 1 else !hs);
+  st.flip_hi <- !k;
+  if !q >= 0 then !q
+  else if !slope -. !tiny > farkas_tol *. (1. +. abs_float target) then
+    farkas_proof
+  else farkas_doubt
+
+(* Move every flipped candidate to its other bound and update the
+   basics with one ftran of the combined column. *)
+let apply_flips st =
+  if st.flip_lo < st.flip_hi then begin
+    let m = st.core.P.m in
+    Array.fill st.rho 0 m 0.;
+    for k = st.flip_lo to st.flip_hi - 1 do
+      let j = st.cand.(k) in
+      let dest =
+        if st.x.(j) <= st.lb.(j) +. feas_eps then st.ub.(j) else st.lb.(j)
+      in
+      sub_col st.core st.rho j (dest -. st.x.(j));
+      st.x.(j) <- dest
+    done;
+    (* rho = -B^-1 * sum_j a_j * delta_j, the change of x_B *)
+    Lu.ftran st.lu st.rho;
+    for i = 0 to m - 1 do
+      let bi = st.basis.(i) in
+      st.x.(bi) <- st.x.(bi) +. st.rho.(i)
+    done
+  end
+
+(* Install the parent basis: basic columns, nonbasic values from the
+   recorded statuses clamped to the child's bounds, basics, and fresh
+   reduced costs.  Raises [Fallback] when the snapshot does not fit the
+   problem, the basis is singular, or it is no longer dual feasible. *)
+let install_warm st (warm : Basis.t) =
+  let core = st.core in
+  let n = core.P.n and m = core.P.m in
+  if warm.Basis.bs_m <> m || warm.Basis.bs_nm <> n + m then
+    raise (Fallback "shape");
+  Array.blit warm.Basis.bs_basis 0 st.basis 0 m;
+  for i = 0 to m - 1 do
+    let j = st.basis.(i) in
+    if j < 0 || j >= st.total || st.basic_row.(j) >= 0 then
+      raise (Fallback "shape");
+    st.basic_row.(j) <- i
+  done;
+  (* artificials are fixed out of a warm solve *)
+  for i = 0 to m - 1 do
+    let a = n + m + i in
+    st.lb.(a) <- 0.;
+    st.ub.(a) <- 0.;
+    st.cost.(a) <- 0.
+  done;
+  Array.blit core.P.cost 0 st.cost 0 n;
+  (try factorize st "warm" with Singular_basis -> raise (Fallback "singular"));
+  for j = 0 to st.total - 1 do
+    if st.basic_row.(j) < 0 then begin
+      let status = if j < n + m then warm.Basis.bs_status.(j) else 0 in
+      st.x.(j) <-
+        (match status with
+        | 1 ->
+          if Float.is_finite st.ub.(j) then st.ub.(j)
+          else if Float.is_finite st.lb.(j) then st.lb.(j)
+          else 0.
+        | 2 ->
+          (* free at zero in the parent; the child's bounds may now
+             exclude zero *)
+          Float.min st.ub.(j) (Float.max st.lb.(j) 0.)
+        | _ ->
+          if Float.is_finite st.lb.(j) then st.lb.(j)
+          else if Float.is_finite st.ub.(j) then st.ub.(j)
+          else 0.)
+    end
+  done;
+  compute_basics st;
+  refresh_duals st;
+  (* the parent basis must still be dual feasible *)
+  for j = 0 to st.total - 1 do
+    if st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
+      let d = st.d.(j) in
+      let at_lb = st.x.(j) <= st.lb.(j) +. feas_eps in
+      let at_ub = st.x.(j) >= st.ub.(j) -. feas_eps in
+      let bad =
+        if at_lb && not at_ub then d < -.warm_dual_tol
+        else if at_ub && not at_lb then d > warm_dual_tol
+        else (not at_lb) && (not at_ub) && abs_float d > warm_dual_tol
+      in
+      if bad then raise (Fallback "dual_infeasible")
+    end
+  done
+
 (* Install a parent basis snapshot against the current bounds and try
-   to finish the solve with dual pivots.  Returns [None] whenever the
-   warm path cannot certify the result — the caller then falls back to
-   the cold two-phase solve. *)
+   to finish the solve with dual pivots.  Raises [Fallback] whenever
+   the warm path cannot certify the result — the caller then falls
+   back to the cold two-phase solve. *)
 let try_warm ~max_iters ~warm ~updates ~trace ~worker ~wlb ~wub
     ?basis_sink ?snapshot_sink (core : P.t) =
   let n = core.P.n and m = core.P.m in
-  if warm.Basis.bs_m <> m || warm.Basis.bs_nm <> n + m then None
-  else begin
-    let st = make_state ~updates ~trace ~worker core wlb wub in
-    Array.blit warm.Basis.bs_basis 0 st.basis 0 m;
-    let valid = ref true in
+  let st = make_state ~updates ~trace ~worker core wlb wub in
+  install_warm st warm;
+  let dual_cap = min max_iters (200 + (2 * m)) in
+  let dual_iters = ref 0 and infeasible = ref false and feasible = ref false in
+  while not (!feasible || !infeasible) do
+    (* most violated basic variable leaves *)
+    let r = ref (-1) and viol = ref feas_eps and below = ref false in
     for i = 0 to m - 1 do
-      let j = st.basis.(i) in
-      if j < 0 || j >= st.total || st.basic_row.(j) >= 0 then valid := false
-      else st.basic_row.(j) <- i
+      let bi = st.basis.(i) in
+      let under = st.lb.(bi) -. st.x.(bi) in
+      let over = st.x.(bi) -. st.ub.(bi) in
+      if under > !viol then begin
+        viol := under;
+        r := i;
+        below := true
+      end;
+      if over > !viol then begin
+        viol := over;
+        r := i;
+        below := false
+      end
     done;
-    if not !valid then None
+    if !r < 0 then feasible := true
+    else if !dual_iters >= dual_cap then raise (Fallback "iter_cap")
     else begin
-      (* artificials are fixed out of a warm solve *)
-      for i = 0 to m - 1 do
-        let a = n + m + i in
-        st.lb.(a) <- 0.;
-        st.ub.(a) <- 0.;
-        st.cost.(a) <- 0.
-      done;
-      Array.blit core.P.cost 0 st.cost 0 n;
-      match factorize st "warm" with
-      | exception Singular_basis -> None
-      | () ->
-        (* nonbasic values from the recorded statuses, clamped to the
-           (possibly flipped) current bounds *)
-        for j = 0 to st.total - 1 do
-          if st.basic_row.(j) < 0 then begin
-            let status =
-              if j < n + m then warm.Basis.bs_status.(j) else 0
-            in
-            st.x.(j) <-
-              (match status with
-              | 1 ->
-                if Float.is_finite st.ub.(j) then st.ub.(j)
-                else if Float.is_finite st.lb.(j) then st.lb.(j)
-                else 0.
-              | 2 -> 0.
-              | _ ->
-                if Float.is_finite st.lb.(j) then st.lb.(j)
-                else if Float.is_finite st.ub.(j) then st.ub.(j)
-                else 0.)
-          end
+      incr dual_iters;
+      let r = !r in
+      let out = st.basis.(r) in
+      let target = if !below then st.lb.(out) else st.ub.(out) in
+      let dir = if !below then 1. else -1. in
+      let q = dual_ratio st r ~dir ~viol:!viol ~target in
+      if q = farkas_proof then infeasible := true
+      else if q = farkas_doubt then raise (Fallback "farkas_margin")
+      else begin
+        apply_flips st;
+        ftran st q;
+        let wr = st.w.(r) in
+        (* the column image must confirm the row's pivot element *)
+        if abs_float wr <= pivot_eps || wr *. st.arow.(q) <= 0. then
+          raise (Fallback "small_pivot");
+        st.iters <- st.iters + 1;
+        (* primal step: [out] lands on its bound, [q] becomes basic
+           (possibly infeasible, then it leaves in a later pivot) *)
+        let dq = -.(target -. st.x.(out)) /. wr in
+        for i = 0 to m - 1 do
+          let bi = st.basis.(i) in
+          st.x.(bi) <- st.x.(bi) -. (dq *. st.w.(i))
         done;
-        compute_basics st;
-        (* the parent basis must still be dual feasible *)
-        btran_costs st;
-        let dual_ok = ref true in
+        st.x.(q) <- st.x.(q) +. dq;
+        st.x.(out) <- target;
+        (* dual step from the row the ratio test computed *)
+        let theta = st.d.(q) /. wr in
         for j = 0 to st.total - 1 do
-          if !dual_ok && st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
-            let d = reduced_cost st j in
-            let at_lb = st.x.(j) <= st.lb.(j) +. feas_eps in
-            let at_ub = st.x.(j) >= st.ub.(j) -. feas_eps in
-            if at_lb && not at_ub then begin
-              if d < -.warm_dual_tol then dual_ok := false
-            end
-            else if at_ub && not at_lb then begin
-              if d > warm_dual_tol then dual_ok := false
-            end
-            else if (not at_lb) && not at_ub then begin
-              if abs_float d > warm_dual_tol then dual_ok := false
-            end
-          end
+          if st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j) then
+            st.d.(j) <- st.d.(j) -. (theta *. st.arow.(j))
         done;
-        if not !dual_ok then None
-        else begin
-          let dual_cap = min max_iters (200 + (2 * m)) in
-          let dual_iters = ref 0 in
-          let ok = ref true and feasible = ref false in
-          while !ok && not !feasible do
-            (* most violated basic variable leaves *)
-            let r = ref (-1) and viol = ref feas_eps and below = ref false in
-            for i = 0 to m - 1 do
-              let bi = st.basis.(i) in
-              let under = st.lb.(bi) -. st.x.(bi) in
-              let over = st.x.(bi) -. st.ub.(bi) in
-              if under > !viol then begin
-                viol := under;
-                r := i;
-                below := true
-              end;
-              if over > !viol then begin
-                viol := over;
-                r := i;
-                below := false
-              end
-            done;
-            if !r < 0 then feasible := true
-            else if !dual_iters >= dual_cap then ok := false
-            else begin
-              incr dual_iters;
-              btran_costs st;
-              pivot_row st !r;
-              (* dual ratio test: smallest |d_j / alpha_rj| among
-                 columns whose move repairs the violation without
-                 breaking dual feasibility; tie-break on pivot size *)
-              let q = ref (-1) and best_ratio = ref infinity and best_piv = ref 0. in
-              for j = 0 to st.total - 1 do
-                if st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
-                  let arj = row_coef st j in
-                  if abs_float arj > pivot_eps then begin
-                    let at_lb = st.x.(j) <= st.lb.(j) +. feas_eps in
-                    let at_ub = st.x.(j) >= st.ub.(j) -. feas_eps in
-                    let free = (not at_lb) && not at_ub in
-                    let eligible =
-                      if free then true
-                      else if !below then
-                        (at_lb && arj < 0.) || (at_ub && arj > 0.)
-                      else (at_lb && arj > 0.) || (at_ub && arj < 0.)
-                    in
-                    if eligible then begin
-                      let d = reduced_cost st j in
-                      let ratio = abs_float d /. abs_float arj in
-                      if
-                        ratio < !best_ratio -. 1e-12
-                        || (ratio < !best_ratio +. 1e-12
-                           && abs_float arj > !best_piv)
-                      then begin
-                        best_ratio := ratio;
-                        best_piv := abs_float arj;
-                        q := j
-                      end
-                    end
-                  end
-                end
-              done;
-              if !q < 0 then ok := false
-              else begin
-                ftran st !q;
-                let wr = st.w.(!r) in
-                if abs_float wr <= pivot_eps then ok := false
-                else begin
-                  let out = st.basis.(!r) in
-                  let target =
-                    if !below then st.lb.(out) else st.ub.(out)
-                  in
-                  let delta = target -. st.x.(out) in
-                  let dq = -.delta /. wr in
-                  let newq = st.x.(!q) +. dq in
-                  if
-                    newq < st.lb.(!q) -. feas_eps
-                    || newq > st.ub.(!q) +. feas_eps
-                  then
-                    (* the entering variable would overshoot its own
-                       bound (needs a bound-flipping ratio test) *)
-                    ok := false
-                  else begin
-                    st.iters <- st.iters + 1;
-                    for i = 0 to m - 1 do
-                      let bi = st.basis.(i) in
-                      st.x.(bi) <- st.x.(bi) -. (dq *. st.w.(i))
-                    done;
-                    st.x.(!q) <- newq;
-                    st.x.(out) <- target;
-                    Lu.update st.lu !r st.w;
-                    incr st.updates;
-                    st.basis.(!r) <- !q;
-                    st.basic_row.(out) <- -1;
-                    st.basic_row.(!q) <- !r;
-                    maybe_refactor st
-                  end
-                end
-              end
-            end
-          done;
-          if not !ok then None
-          else begin
-            (* primal cleanup: normally zero iterations, but catches
-               tolerance drift accumulated by the dual pivots *)
-            st.degen_streak <- 0;
-            match iterate st ~max_iters ~phase1:false with
-            | Optimal ->
-              Some (finish_optimal st ?basis_sink ?snapshot_sink ())
-            | Iter_limit | Infeasible | Unbounded -> None
-          end
-        end
+        st.d.(out) <- -.theta;
+        st.d.(q) <- 0.;
+        st.d_fresh <- false;
+        Lu.update st.lu r st.w;
+        incr st.updates;
+        st.basis.(r) <- q;
+        st.basic_row.(out) <- -1;
+        st.basic_row.(q) <- r;
+        maybe_refactor st
+      end
     end
+  done;
+  if !infeasible then
+    { status = Infeasible; objective = nan; x = Array.sub st.x 0 n;
+      iterations = st.iters }
+  else begin
+    (* primal cleanup: normally zero iterations, but catches tolerance
+       drift accumulated by the dual pivots *)
+    st.degen_streak <- 0;
+    match iterate st ~max_iters ~phase1:false with
+    | Optimal -> finish_optimal st ?basis_sink ?snapshot_sink ()
+    | Iter_limit | Infeasible | Unbounded -> raise (Fallback "cleanup")
   end
 
 (* ------------------------------------------------------------------ *)
@@ -912,22 +1048,24 @@ module Core = struct
         { status = Infeasible; objective = nan; x = Array.make t.P.n nan;
           iterations = 0 }
       else
-        let warm_result =
-          match warm with
-          | None -> None
-          | Some parent ->
-            try_warm ~max_iters:max_iters' ~warm:parent ~updates ~trace
-              ~worker ~wlb ~wub ~snapshot_sink:snap t
-        in
-        match warm_result with
-        | Some outcome ->
-          Rfloor_trace.emit trace ~worker (Lp_warm { result = "dual" });
-          outcome
-        | None ->
-          if Option.is_some warm then
-            Rfloor_trace.emit trace ~worker (Lp_warm { result = "fallback" });
+        let cold () =
           solve_core ?max_iters ?lb ?ub ~snapshot_sink:snap ~updates ~trace
             ~worker t
+        in
+        match warm with
+        | None -> cold ()
+        | Some parent -> (
+          match
+            try_warm ~max_iters:max_iters' ~warm:parent ~updates ~trace
+              ~worker ~wlb ~wub ~snapshot_sink:snap t
+          with
+          | outcome ->
+            Rfloor_trace.emit trace ~worker (Lp_warm { fallback = None });
+            outcome
+          | exception Fallback reason ->
+            Rfloor_trace.emit trace ~worker
+              (Lp_warm { fallback = Some reason });
+            cold ())
     in
     (outcome, !snap)
 end

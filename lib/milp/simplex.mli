@@ -78,12 +78,15 @@ module Core : sig
   (** Like {!solve}, plus the warm-start protocol: with [warm] the
       solve first tries a dual simplex run from the parent basis
       (correct after branching bound flips, where the parent basis
-      stays dual feasible) and falls back to the cold two-phase solve
-      whenever the warm path cannot certify the result.  On an optimal
-      finish the returned {!Basis.t} snapshot seeds the children.
+      stays dual feasible), with a bound-flipping ratio test.  The
+      warm path ends [Optimal], or [Infeasible] when a dual pivot row
+      is a Farkas certificate; whenever it cannot certify the result
+      it falls back to the cold two-phase solve.  On an optimal finish
+      the returned {!Basis.t} snapshot seeds the children.
       [trace]/[worker] emit [Lp_refactor] events, one [Lp_warm] event
-      when [warm] was given, and one [Lp_solved] event for the whole
-      call (warm attempt and cold fallback together); with a tracer
-      that is not {!Rfloor_trace.enabled} nothing is emitted and no
-      clock is read. *)
+      when [warm] was given (carrying the fallback reason, if any),
+      and one [Lp_solved] event for the whole call (warm attempt and
+      cold fallback together); with a tracer that is not
+      {!Rfloor_trace.enabled} nothing is emitted and no clock is
+      read. *)
 end

@@ -134,8 +134,13 @@ let event_json nodes_per_worker (e : T.Event.t) =
     Some (instant ~tid ~name:"stopped" ~args:[ ("reason", J.Str reason) ] at)
   | T.Event.Lp_refactor { reason } ->
     Some (instant ~tid ~name:"lp_refactor" ~args:[ ("reason", J.Str reason) ] at)
-  | T.Event.Lp_warm { result } ->
-    Some (instant ~tid ~name:"lp_warm" ~args:[ ("result", J.Str result) ] at)
+  | T.Event.Lp_warm { fallback = None } ->
+    Some (instant ~tid ~name:"lp_warm" ~args:[ ("result", J.Str "dual") ] at)
+  | T.Event.Lp_warm { fallback = Some reason } ->
+    Some
+      (instant ~tid ~name:"lp_warm"
+         ~args:[ ("result", J.Str "fallback"); ("reason", J.Str reason) ]
+         at)
   | T.Event.Lp_solved { iters; updates; seconds } ->
     Some
       (instant ~tid ~name:"lp_solved"

@@ -33,7 +33,7 @@ module Event = struct
     | Restart of { stage : string }
     | Stopped of { reason : string }
     | Lp_refactor of { reason : string }
-    | Lp_warm of { result : string }
+    | Lp_warm of { fallback : string option }
     | Lp_solved of { iters : int; updates : int; seconds : float }
     | Presolved of { rounds : int; changes : int; infeasible : bool }
     | Move of { module_name : string; src : string; dst : string }
@@ -94,7 +94,9 @@ module Event = struct
     | Restart { stage } -> Format.fprintf ppf "restart: %s" stage
     | Stopped { reason } -> Format.fprintf ppf "stopped: %s" reason
     | Lp_refactor { reason } -> Format.fprintf ppf "lp refactorize: %s" reason
-    | Lp_warm { result } -> Format.fprintf ppf "lp warm start: %s" result
+    | Lp_warm { fallback = None } -> Format.fprintf ppf "lp warm start: dual"
+    | Lp_warm { fallback = Some reason } ->
+      Format.fprintf ppf "lp warm start: fallback (%s)" reason
     | Lp_solved { iters; updates; seconds } ->
       Format.fprintf ppf "lp solved: %d iterations, %d updates, %.6fs" iters
         updates seconds
@@ -150,8 +152,10 @@ module Event = struct
       | Restart { stage } -> Printf.sprintf ",\"stage\":\"%s\"" (json_escape stage)
       | Stopped { reason } | Lp_refactor { reason } ->
         Printf.sprintf ",\"reason\":\"%s\"" (json_escape reason)
-      | Lp_warm { result } ->
-        Printf.sprintf ",\"result\":\"%s\"" (json_escape result)
+      | Lp_warm { fallback = None } -> ",\"result\":\"dual\""
+      | Lp_warm { fallback = Some reason } ->
+        Printf.sprintf ",\"result\":\"fallback\",\"reason\":\"%s\""
+          (json_escape reason)
       | Lp_solved { iters; updates; seconds } ->
         Printf.sprintf ",\"iters\":%d,\"updates\":%d,\"seconds\":%s" iters
           updates (json_float seconds)
@@ -375,9 +379,15 @@ module Event = struct
         | "refactor" ->
           let* reason = str "reason" in
           Ok (Lp_refactor { reason })
-        | "warm" ->
+        | "warm" -> (
           let* result = str "result" in
-          Ok (Lp_warm { result })
+          match result with
+          | "dual" -> Ok (Lp_warm { fallback = None })
+          | "fallback" ->
+            let* reason = str "reason" in
+            if reason = "" then Error "warm fallback without a reason"
+            else Ok (Lp_warm { fallback = Some reason })
+          | r -> Error (Printf.sprintf "unknown warm result %S" r))
         | "lp" ->
           let* iters = int_ "iters" in
           let* updates = int_ "updates" in

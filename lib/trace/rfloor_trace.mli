@@ -62,10 +62,21 @@ module Event : sig
             dubious update pivot).  A fresh factorization that comes
             back singular emits nothing: the simplex keeps its eta file
             and pushes the cap out instead *)
-    | Lp_warm of { result : string }
-        (** a warm-started LP re-solve finished; [result] is ["dual"]
-            when the dual simplex ran from the parent basis and
-            ["fallback"] when the solve fell back to a cold start *)
+    | Lp_warm of { fallback : string option }
+        (** a warm-started LP re-solve finished.  [None]: the dual
+            simplex served it from the parent basis, with an optimal
+            result or a Farkas proof of infeasibility (JSONL
+            ["result":"dual"]).  [Some reason]: it fell back to a cold
+            two-phase solve (["result":"fallback","reason":...]), where
+            [reason] is ["shape"] (the snapshot does not fit the
+            problem), ["singular"] (the parent basis does not factor),
+            ["dual_infeasible"] (the child's bounds leave the parent
+            basis dual infeasible), ["iter_cap"] (dual pivot cap),
+            ["small_pivot"] (a dual pivot element too small to trust),
+            ["farkas_margin"] (the row that ran out of entering
+            candidates misses its bound by too little to prove
+            infeasibility) or ["cleanup"] (the primal clean-up after
+            the dual pivots did not end optimal) *)
     | Lp_solved of { iters : int; updates : int; seconds : float }
         (** one LP relaxation solved (a branch-and-bound node or a
             standalone solve, warm attempt and cold fallback together):

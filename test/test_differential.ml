@@ -163,10 +163,24 @@ let test_sparse_vs_reference () =
 
 (* Branch-style child re-solves: tighten one variable bound off the
    root optimum (exactly what B&B does) and pin the warm dual re-solve
-   against a cold solve of the same child. *)
+   against a cold solve of the same child.  Both kinds of child, an
+   optimal one and an infeasible one, must be served warm at least
+   once: the dual path finishes them instead of falling back. *)
 let test_warm_child_resolves () =
   let base = G.base_seed () in
   let checked = ref 0 in
+  (* the last [Lp_warm] verdict: [true] when the dual simplex served it *)
+  let served = ref false in
+  let trace =
+    Rfloor_trace.create
+      ~sink:
+        (Rfloor_trace.Sink.of_fn (fun e ->
+             match e.Rfloor_trace.Event.payload with
+             | Rfloor_trace.Event.Lp_warm { fallback } -> served := fallback = None
+             | _ -> ()))
+      ()
+  in
+  let warm_optimal = ref 0 and warm_infeasible = ref 0 in
   for i = 0 to simplex_diff_count () - 1 do
     let seed = G.case_seed base (6_000 + i) in
     let case = G.milp_case ~seed in
@@ -196,8 +210,15 @@ let test_warm_child_resolves () =
       List.iter
         (fun (tag, lb, ub) ->
           let cold = Simplex.Core.solve ~lb ~ub core in
-          let wr, _ = Simplex.Core.solve_warm ~lb ~ub ~warm:parent core in
+          served := false;
+          let wr, _ = Simplex.Core.solve_warm ~lb ~ub ~warm:parent ~trace core in
           incr checked;
+          if !served then begin
+            match cold.Simplex.status with
+            | Simplex.Optimal -> incr warm_optimal
+            | Simplex.Infeasible -> incr warm_infeasible
+            | Simplex.Unbounded | Simplex.Iter_limit -> ()
+          end;
           if lp_status_name cold.Simplex.status
              <> lp_status_name wr.Simplex.status
           then
@@ -217,7 +238,10 @@ let test_warm_child_resolves () =
         children
     | _ -> ()
   done;
-  Alcotest.(check bool) "some warm child re-solves exercised" true (!checked > 0)
+  Alcotest.(check bool) "some warm child re-solves exercised" true (!checked > 0);
+  Alcotest.(check bool) "an optimal child served warm" true (!warm_optimal > 0);
+  Alcotest.(check bool) "an infeasible child proved warm" true
+    (!warm_infeasible > 0)
 
 (* Whole-tree cold-vs-warm: disabling warm starts must not change what
    the engine returns at any worker count, and both must agree with the

@@ -217,9 +217,10 @@ let test_trace_sink_fold () =
     [] (List.map name_of (List.filter is_solver_series snap));
   T.emit tracer (E.Lp_refactor { reason = "initial" });
   T.emit tracer ~worker:1 (E.Lp_refactor { reason = "warm" });
-  T.emit tracer ~worker:1 (E.Lp_warm { result = "dual" });
-  T.emit tracer ~worker:1 (E.Lp_warm { result = "fallback" });
-  T.emit tracer ~worker:1 (E.Lp_warm { result = "fallback" });
+  T.emit tracer ~worker:1 (E.Lp_warm { fallback = None });
+  T.emit tracer ~worker:1 (E.Lp_warm { fallback = Some "singular" });
+  T.emit tracer ~worker:1 (E.Lp_warm { fallback = Some "iter_cap" });
+  T.emit tracer ~worker:1 (E.Lp_warm { fallback = Some "singular" });
   T.emit tracer (E.Lp_solved { iters = 7; updates = 5; seconds = 0.25 });
   T.emit tracer ~worker:1 (E.Lp_solved { iters = 3; updates = 2; seconds = 0.5 });
   T.emit tracer (E.Presolved { rounds = 3; changes = 9; infeasible = false });
@@ -231,12 +232,21 @@ let test_trace_sink_fold () =
     [
       ("rfloor_lp_factorizations_total", 2);
       ("rfloor_lp_warm_starts_total", 1);
-      ("rfloor_lp_warm_fallbacks_total", 2);
       ("rfloor_lp_ft_updates_total", 7);
       ("rfloor_presolve_rounds_total", 4);
       ("rfloor_presolve_bound_changes_total", 9);
       ("rfloor_presolve_infeasible_total", 1);
     ];
+  (* one fallback series per reason label *)
+  Alcotest.(check (list (pair string int))) "fallbacks by reason"
+    [ ("iter_cap", 1); ("singular", 2) ]
+    (List.filter_map
+       (function
+         | R.Snapshot.Counter { name = "rfloor_lp_warm_fallbacks_total"; labels; value; _ }
+           ->
+           Some (List.assoc "reason" labels, value)
+         | _ -> None)
+       snap);
   let hist name =
     List.find_map
       (function
@@ -283,6 +293,14 @@ let check_solver_metrics ~time_limit part spec =
   Alcotest.(check int) "one lp-seconds observation per node"
     o.Rfloor.Solver.nodes (fst (hist "rfloor_lp_solve_seconds"));
   let counter name = R.Counter.value (R.counter metrics name) in
+  (* summed over every label set of [name] *)
+  let total name =
+    List.fold_left
+      (fun acc -> function
+        | R.Snapshot.Counter c when c.name = name -> acc + c.value
+        | _ -> acc)
+      0 snap
+  in
   (* every node below a root carries its parent's basis, so each one
      ends in exactly one warm start or one fallback *)
   let warm_nodes =
@@ -297,7 +315,7 @@ let check_solver_metrics ~time_limit part spec =
   Alcotest.(check int) "warm starts + fallbacks = nodes with a parent basis"
     warm_nodes
     (counter "rfloor_lp_warm_starts_total"
-    + counter "rfloor_lp_warm_fallbacks_total");
+    + total "rfloor_lp_warm_fallbacks_total");
   (* the Solver runs no Gomory round (gomory_rounds = 0), so every cut
      row the fold counts is a model-build row *)
   Alcotest.(check bool) "model-build cut rows counted" true

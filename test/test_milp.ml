@@ -565,8 +565,10 @@ let test_warm_dual_infeasible_falls_back () =
   check_float "fallback objective" 5. r.Simplex.objective;
   Alcotest.(check int) "warm counter untouched by the fallback" warm_before
     (counter reg "rfloor_lp_warm_starts_total");
-  Alcotest.(check int) "fallback counted" 1
-    (counter reg "rfloor_lp_warm_fallbacks_total");
+  Alcotest.(check int) "fallback counted with its reason" 1
+    (R.Counter.value
+       (R.counter reg ~labels:[ ("reason", "dual_infeasible") ]
+          "rfloor_lp_warm_fallbacks_total"));
   (* positive control: a bound tightening keeps the parent basis dual
      feasible, and the dual path must serve it warm *)
   let root_r, root_basis = Simplex.Core.solve_warm ~trace core in
@@ -580,6 +582,93 @@ let test_warm_dual_infeasible_falls_back () =
   check_float "warm child objective" 3. r.Simplex.objective;
   Alcotest.(check int) "warm counter incremented" (warm_before + 1)
     (counter reg "rfloor_lp_warm_starts_total")
+
+(* Fallback reasons of the [Lp_warm] events in [ring]. *)
+let warm_fallbacks ring =
+  List.filter_map
+    (fun (e : Rfloor_trace.Event.t) ->
+      match e.Rfloor_trace.Event.payload with
+      | Rfloor_trace.Event.Lp_warm { fallback } -> fallback
+      | _ -> None)
+    (Rfloor_trace.Ring.events ring)
+
+(* max 10a + 9b + 1.6c + 5d s.t. 10a + 10b + 2c + 10d <= 16 over the
+   unit box.  The root takes a whole, b = 0.6 basic, c = d = 0.  The
+   child b <= 0 must free 6 units of weight: its dual ratio test walks
+   c (ratio 1), d (4) and the slack (9); c's whole range frees only 2,
+   so c flips to 1 and d enters at 0.4.  A dual step without bound
+   flips would push c to 3, past its upper bound. *)
+let test_warm_bound_flip () =
+  let lp = Lp.create ~name:"warm_flip" () in
+  let var name = Lp.add_var lp ~name ~lb:0. ~ub:1. () in
+  let a = var "a" and b = var "b" and c = var "c" and d = var "d" in
+  Lp.add_constr lp [ (10., a); (10., b); (2., c); (10., d) ] Lp.Le 16.;
+  Lp.set_objective lp Lp.Maximize [ (10., a); (9., b); (1.6, c); (5., d) ];
+  let core = Simplex.Core.of_lp lp in
+  let reg, ring, trace = traced_registry () in
+  let root, basis = Simplex.Core.solve_warm ~trace core in
+  check_float "root objective" 15.4 root.Simplex.objective;
+  let lb = Array.make 4 0. and ub = [| 1.; 0.; 1.; 1. |] in
+  let cold = Simplex.Core.solve ~lb ~ub core in
+  let warm, _ = Simplex.Core.solve_warm ~lb ~ub ?warm:basis ~trace core in
+  Alcotest.(check bool) "child optimal" true (warm.Simplex.status = Simplex.Optimal);
+  check_float "warm objective = cold objective" cold.Simplex.objective
+    warm.Simplex.objective;
+  check_float "child objective" 13.6 warm.Simplex.objective;
+  check_float "c flipped to its upper bound" 1. warm.Simplex.x.(c);
+  check_float "d entered" 0.4 warm.Simplex.x.(d);
+  Alcotest.(check (list string)) "no fallback" [] (warm_fallbacks ring);
+  Alcotest.(check int) "served warm" 1 (counter reg "rfloor_lp_warm_starts_total")
+
+(* min x1 + 2 x2 s.t. x1 + x2 >= 1.5 over the unit box: the root has
+   x1 = 1 and x2 = 0.5 basic.  In the child x2 <= 0 the row of x2 has
+   no candidate left — x1 and the slack already sit where they help —
+   so the row itself is a Farkas proof of infeasibility. *)
+let test_warm_farkas_exit () =
+  let lp = Lp.create ~name:"warm_farkas" () in
+  let x1 = Lp.add_var lp ~name:"x1" ~lb:0. ~ub:1. () in
+  let x2 = Lp.add_var lp ~name:"x2" ~lb:0. ~ub:1. () in
+  Lp.add_constr lp [ (1., x1); (1., x2) ] Lp.Ge 1.5;
+  Lp.set_objective lp Lp.Minimize [ (1., x1); (2., x2) ];
+  let core = Simplex.Core.of_lp lp in
+  let reg, ring, trace = traced_registry () in
+  let root, basis = Simplex.Core.solve_warm ~trace core in
+  check_float "root objective" 2. root.Simplex.objective;
+  let lb = [| 0.; 0. |] and ub = [| 1.; 0. |] in
+  let cold = Simplex.Core.solve ~lb ~ub core in
+  Alcotest.(check bool) "cold child infeasible" true
+    (cold.Simplex.status = Simplex.Infeasible);
+  let warm, snap = Simplex.Core.solve_warm ~lb ~ub ?warm:basis ~trace core in
+  Alcotest.(check bool) "warm child infeasible" true
+    (warm.Simplex.status = Simplex.Infeasible);
+  Alcotest.(check bool) "no snapshot of an infeasible child" true (snap = None);
+  Alcotest.(check (list string)) "no fallback" [] (warm_fallbacks ring);
+  Alcotest.(check int) "proved warm" 1 (counter reg "rfloor_lp_warm_starts_total")
+
+(* Regression: a nonbasic free at zero in the parent (y) was installed
+   at 0 even when the child's bounds exclude 0, and the dual loop,
+   which only repairs basics, returned that out-of-bounds point as
+   optimal.  min x + 2z s.t. x + z >= 1, y + z <= 20, x, z in [0, 10],
+   y free; the child y >= 25 is infeasible. *)
+let test_warm_free_nonbasic_clamped () =
+  let lp = Lp.create ~name:"warm_free" () in
+  let x = Lp.add_var lp ~name:"x" ~lb:0. ~ub:10. () in
+  let y = Lp.add_var lp ~name:"y" ~lb:neg_infinity ~ub:infinity () in
+  let z = Lp.add_var lp ~name:"z" ~lb:0. ~ub:10. () in
+  Lp.add_constr lp [ (1., x); (1., z) ] Lp.Ge 1.;
+  Lp.add_constr lp [ (1., y); (1., z) ] Lp.Le 20.;
+  Lp.set_objective lp Lp.Minimize [ (1., x); (2., z) ];
+  let core = Simplex.Core.of_lp lp in
+  let root, basis = Simplex.Core.solve_warm core in
+  check_float "root objective" 1. root.Simplex.objective;
+  let lb = [| 0.; 25.; 0. |] and ub = [| 10.; infinity; 10. |] in
+  let cold = Simplex.Core.solve ~lb ~ub core in
+  Alcotest.(check bool) "cold child infeasible" true
+    (cold.Simplex.status = Simplex.Infeasible);
+  let warm, _ = Simplex.Core.solve_warm ~lb ~ub ?warm:basis core in
+  if warm.Simplex.status <> Simplex.Infeasible then
+    Alcotest.failf "warm child not infeasible: objective %g, y = %g"
+      warm.Simplex.objective warm.Simplex.x.(y)
 
 (* A solve that pivots past the eta cap must refactorize mid-solve:
    more than 64 product-form updates forces at least one periodic
@@ -747,6 +836,12 @@ let suites =
         Alcotest.test_case "beale cycling fixture" `Quick test_simplex_beale_cycling;
         Alcotest.test_case "dual-infeasible warm start falls back" `Quick
           test_warm_dual_infeasible_falls_back;
+        Alcotest.test_case "warm child flips a boxed variable" `Quick
+          test_warm_bound_flip;
+        Alcotest.test_case "warm Farkas exit proves a child infeasible" `Quick
+          test_warm_farkas_exit;
+        Alcotest.test_case "warm install clamps a free nonbasic" `Quick
+          test_warm_free_nonbasic_clamped;
         Alcotest.test_case "eta cap forces mid-solve refactorization" `Quick
           test_refactor_trigger;
         Alcotest.test_case "ill-conditioned basis stays accurate" `Quick

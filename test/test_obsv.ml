@@ -348,6 +348,7 @@ let sample_events () =
             (T.Event.Lp_solved { iters = 11; updates = 9; seconds = 0.002 })));
   T.span tr ~worker:1 T.Event.Branch_bound (fun () ->
       T.node_explored tr ~iters:7 ~worker:1 ~depth:1 ~bound:2.;
+      T.emit tr ~worker:1 (T.Event.Lp_warm { fallback = Some "small_pivot" });
       T.incumbent tr ~worker:1 ~objective:3. ~node:2);
   let m = T.subtracer tr ~worker_base:1000 in
   T.restart m "member:combinatorial";
@@ -371,6 +372,8 @@ let test_perfetto_export () =
     (contains doc "\"lp_solved\"");
   Alcotest.(check bool) "presolve instant present" true
     (contains doc "\"presolved\"");
+  Alcotest.(check bool) "warm fallback instant carries its reason" true
+    (contains doc "\"lp_warm\"" && contains doc "\"small_pivot\"");
   (* JSONL -> Perfetto agrees with the direct export (fixpoint) *)
   let jsonl =
     String.concat "" (List.map (fun e -> T.Event.to_json e ^ "\n") events)

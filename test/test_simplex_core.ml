@@ -367,6 +367,64 @@ let test_alloc_per_pivot () =
       per (4 * m) m cold.Simplex.iterations cold_words child.Simplex.iterations
       child_words
 
+(* [k] independent copies of the knapsack row
+   10a + 10b + 2c + 10d <= 16 over the unit box, maximizing
+   10a + 9b + 1.6c + 5d: the root has b = 0.6 basic in every row.  The
+   child b <= 0 in every copy needs one dual pivot per row, and each
+   of them flips c to its upper bound before d enters. *)
+let flip_blocks k =
+  let lp = Lp.create ~name:"flip_blocks" () in
+  let obj = ref [] in
+  for i = 0 to k - 1 do
+    let var tag = Lp.add_var lp ~name:(Printf.sprintf "%s%d" tag i) ~lb:0. ~ub:1. () in
+    let a = var "a" and b = var "b" and c = var "c" and d = var "d" in
+    Lp.add_constr lp [ (10., a); (10., b); (2., c); (10., d) ] Lp.Le 16.;
+    obj := (10., a) :: (9., b) :: (1.6, c) :: (5., d) :: !obj
+  done;
+  Lp.set_objective lp Lp.Maximize !obj;
+  lp
+
+let test_alloc_bound_flips () =
+  let k = 200 in
+  let lp = flip_blocks k in
+  let core = Simplex.Core.of_lp lp in
+  let m = Simplex.Core.num_rows core and n = Simplex.Core.num_vars core in
+  let (root, snap), root_words =
+    minor_words (fun () -> Simplex.Core.solve_warm core)
+  in
+  if root.Simplex.status <> Simplex.Optimal then Alcotest.fail "root not optimal";
+  let lb = Array.make n 0. and ub = Array.init n (fun v -> if v mod 4 = 1 then 0. else 1.) in
+  let (child, _), child_words =
+    minor_words (fun () -> Simplex.Core.solve_warm ~lb ~ub ?warm:snap core)
+  in
+  let expected = 13.6 *. float_of_int k in
+  if abs_float (child.Simplex.objective -. expected) > 1e-6 *. expected then
+    Alcotest.failf "child objective %.9f, expected %.9f" child.Simplex.objective
+      expected;
+  (* the same child again, traced: served warm, one dual pivot per row *)
+  let fallbacks = ref [] in
+  let trace =
+    Rfloor_trace.create
+      ~sink:
+        (Rfloor_trace.Sink.of_fn (fun e ->
+             match e.Rfloor_trace.Event.payload with
+             | Rfloor_trace.Event.Lp_warm { fallback = Some r } ->
+               fallbacks := r :: !fallbacks
+             | _ -> ()))
+      ()
+  in
+  let again, _ = Simplex.Core.solve_warm ~lb ~ub ?warm:snap ~trace core in
+  Alcotest.(check (list string)) "served warm" [] !fallbacks;
+  Alcotest.(check int) "one dual pivot per row" k again.Simplex.iterations;
+  let pivots = root.Simplex.iterations + child.Simplex.iterations in
+  let per = (root_words +. child_words) /. float_of_int pivots in
+  if per > 4. *. float_of_int m then
+    Alcotest.failf
+      "%.0f minor words per pivot > 4m = %d (m=%d; root %d pivots, %.0f words; \
+       warm child %d pivots, %.0f words)"
+      per (4 * m) m root.Simplex.iterations root_words child.Simplex.iterations
+      child_words
+
 let suites =
   [
     ( "simplex_core.lu",
@@ -388,5 +446,7 @@ let suites =
       [
         Alcotest.test_case "cold + warm child solves within 4m words/pivot"
           `Quick test_alloc_per_pivot;
+        Alcotest.test_case "warm child with bound flips within 4m words/pivot"
+          `Quick test_alloc_bound_flips;
       ] );
   ]

@@ -25,6 +25,9 @@ let sample_events =
       payload = E.Presolved { rounds = 3; changes = 12; infeasible = false } };
     { E.at = 0.014; worker = 0;
       payload = E.Presolved { rounds = 1; changes = 0; infeasible = true } };
+    { E.at = 0.015; worker = 1; payload = E.Lp_warm { fallback = None } };
+    { E.at = 0.016; worker = 1;
+      payload = E.Lp_warm { fallback = Some "farkas_margin" } };
   ]
 
 (* nan bounds render as null and come back as nan, so compare via the
@@ -40,6 +43,14 @@ let test_json_roundtrip () =
           (Printf.sprintf "roundtrip %s" (E.name e.E.payload))
           s (E.to_json e'))
     sample_events
+
+let test_pp_warm () =
+  let pp payload = Format.asprintf "%a" E.pp { E.at = 0.; worker = 0; payload } in
+  Alcotest.(check string) "served warm" "[w0 +0.0000s] lp warm start: dual"
+    (pp (E.Lp_warm { fallback = None }));
+  Alcotest.(check string) "fallback names its reason"
+    "[w0 +0.0000s] lp warm start: fallback (singular)"
+    (pp (E.Lp_warm { fallback = Some "singular" }))
 
 let test_json_rejects () =
   let bad =
@@ -57,6 +68,12 @@ let test_json_rejects () =
       ( "presolve flag not a boolean",
         {|{"t":0.1,"w":0,"ev":"presolve","rounds":1,"changes":0,"infeasible":1}|} );
       ("lp without seconds", {|{"t":0.1,"w":0,"ev":"lp","iters":1,"updates":1}|});
+      ("warm fallback without a reason", {|{"t":0.1,"w":0,"ev":"warm","result":"fallback"}|});
+      ( "warm fallback with an empty reason",
+        {|{"t":0.1,"w":0,"ev":"warm","result":"fallback","reason":""}|} );
+      ( "served warm start with a reason",
+        {|{"t":0.1,"w":0,"ev":"warm","result":"dual","reason":"shape"}|} );
+      ("unknown warm result", {|{"t":0.1,"w":0,"ev":"warm","result":"tepid"}|});
     ]
   in
   List.iter
@@ -338,6 +355,7 @@ let suites =
       [
         Alcotest.test_case "event json round trip" `Quick test_json_roundtrip;
         Alcotest.test_case "event json schema rejection" `Quick test_json_rejects;
+        Alcotest.test_case "warm start event printing" `Quick test_pp_warm;
         Alcotest.test_case "phase names round trip" `Quick test_phase_names;
         Alcotest.test_case "ring buffer capacity and clear" `Quick
           test_ring_capacity;
