@@ -154,21 +154,6 @@ let online_entry ~seed ~events name =
   let t0 = Unix.gettimeofday () in
   let stats = W.replay part trace in
   let elapsed = Unix.gettimeofday () -. t0 in
-  let metrics = R.create () in
-  let add name v = R.Counter.add (R.counter metrics name) v in
-  add "rfloor_online_adds_total"
-    (stats.W.s_admitted + stats.W.s_defrag_admitted + stats.W.s_fallbacks);
-  add "rfloor_online_admission_hits_total" stats.W.s_admitted;
-  add "rfloor_online_defrags_total" (W.defrag_episodes stats);
-  add "rfloor_online_moves_executed_total" stats.W.s_moves;
-  add "rfloor_online_rejects_total" stats.W.s_rejected;
-  add "rfloor_online_removes_total" stats.W.s_departed;
-  R.Gauge.set
-    (R.gauge metrics "rfloor_online_occupancy")
-    (Rfloor_online.Layout.occupancy stats.W.s_final);
-  R.Gauge.set
-    (R.gauge metrics "rfloor_online_fragmentation")
-    (Rfloor_online.Layout.fragmentation stats.W.s_final);
   {
     A.e_instance = name;
     e_status = (if stats.W.s_violations = [] then "ok" else "violated");
@@ -178,7 +163,7 @@ let online_entry ~seed ~events name =
     e_simplex_iterations = stats.W.s_moves;
     e_elapsed = elapsed;
     e_report = None;
-    e_metrics = Some (R.to_json_value (R.snapshot metrics));
+    e_metrics = None;
   }
 
 (* mini-toy-lex runs twice, with and without LP warm starts: the pair

@@ -33,7 +33,8 @@
 #                                update-vs-refactor, refactor triggers),
 #                                the allocation bound (a cold solve plus
 #                                a warm child within 4·m minor words per
-#                                pivot), the simplex fixtures, and a
+#                                pivot), the simplex fixtures (also at
+#                                seeds 1 and 11), and a
 #                                50-instance mini differential (sparse
 #                                vs frozen dense reference, warm vs
 #                                cold) at the pinned seed.
@@ -276,12 +277,17 @@ simplex_check() {
     RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- test simplex_core.lu
     RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- test simplex_core.alloc
     RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- test milp.simplex
+    # the simplex fixtures draw seeded instances: replay them at two
+    # more seeds so a case that only holds for the pinned one shows
+    for s in 1 11; do
+        RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test milp.simplex
+    done
     # cases 3-5 of the differential suite are the LP-core trio (sparse
     # vs dense reference, warm child re-solves, cold-vs-warm B&B);
     # RFLOOR_SIMPLEX_DIFF=50 shrinks them to a smoke-sized sample
     RFLOOR_TEST_SEED="$seed" RFLOOR_SIMPLEX_DIFF=50 \
         dune exec test/test_main.exe -- test differential 3-5
-    echo "simplex-check passed (properties, allocation, fixtures, mini differential at seed $seed)"
+    echo "simplex-check passed (properties, allocation, fixtures at seeds $seed/1/11, mini differential at seed $seed)"
 }
 
 portfolio_check() {

@@ -6,8 +6,8 @@
    Three sinks are demonstrated:
      - an in-memory ring buffer, inspected after the solve;
      - a JSONL file, validated with Rfloor_trace.validate_jsonl;
-     - the report attached to every Solver.outcome, which aggregates
-       the same metrics even when no sink is connected. *)
+     - the report attached to every Solver.outcome, a fold of the
+       same event stream that is kept even when no sink is connected. *)
 
 open Device
 
@@ -48,11 +48,12 @@ let () =
     incumbents;
 
   (* 2. The aggregated report: phase timings, per-worker node counts.
-     Its totals always equal outcome.nodes / simplex_iterations /
-     elapsed, whether or not a sink was connected. *)
-  Format.printf "@.%a@." Rfloor_trace.Report.pp outcome.Rfloor.Solver.report;
-  assert (outcome.Rfloor.Solver.report.Rfloor_trace.Report.nodes
-          = outcome.Rfloor.Solver.nodes);
+     It folds the events the ring captured, so its counts match them;
+     its totals equal outcome.nodes / simplex_iterations / elapsed. *)
+  let report = outcome.Rfloor.Solver.report in
+  Format.printf "@.%a@." Rfloor_trace.Report.pp report;
+  assert (report.Rfloor_trace.Report.nodes = outcome.Rfloor.Solver.nodes);
+  assert (report.Rfloor_trace.Report.incumbents = List.length incumbents);
 
   (* 3. JSONL sink: stream events to a file, then validate the schema
      and span balance — the same check `rfloor trace-validate` runs. *)

@@ -599,11 +599,11 @@ let run_portfolio options trace part spec ~add_diags ~diags members =
           (* per-member tracer: worker ids shifted by a per-member base
              so concurrent members share the caller's sink without
              colliding span nesting (null parent sink -> plain null-sink
-             tracer, the old behaviour).  The opening Restart event maps
-             the worker-id range back to the member label for progress
-             streaming and timeline export. *)
+             tracer).  The opening Restart event maps the worker-id
+             range back to the member label for progress streaming and
+             timeline export. *)
           let mtrace = T.subtracer trace ~worker_base:((i + 1) * 1000) in
-          if T.enabled trace then T.restart mtrace ("member:" ^ label);
+          T.restart mtrace ("member:" ^ label);
           let mdiags = ref [] in
           let madd ds = mdiags := !mdiags @ ds in
           match s with
@@ -791,11 +791,10 @@ let run_strategy options trace part spec ~add_diags ~diags strategy =
     run_portfolio options trace part spec ~add_diags ~diags members
 
 let solve ?(options = default_options) part (spec : Spec.t) =
-  (* One live tracer per solve, even with the null sink: the metrics
-     behind [outcome.report] always accumulate; events only flow when a
-     real sink is attached.  A live metrics registry tees its
-     event-folding sink onto the caller's: the event stream is how
-     every solver-layer series reaches the registry. *)
+  (* One enabled tracer per solve, even with the null sink:
+     [outcome.report] is its fold of the event stream.  A live metrics
+     registry tees its event-folding sink onto the caller's: the same
+     stream is how every solver-layer series reaches the registry. *)
   let sink =
     if Rfloor_metrics.Registry.live options.metrics then
       T.Sink.tee options.trace (Rfloor_metrics.Trace_sink.sink options.metrics)

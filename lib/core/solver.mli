@@ -119,9 +119,11 @@ type options = {
           folds into [rfloor_cuts_total]. *)
   trace : Rfloor_trace.sink;
       (** Where structured solver events go (default
-          {!Rfloor_trace.Sink.null}: no events, but [outcome.report] is
-          still populated).  Portfolio members run on private null-sink
-          tracers; the caller's sink sees the race-level events (one
+          {!Rfloor_trace.Sink.null}: no sink sees them, but
+          [outcome.report], their fold, is the same).  Portfolio
+          members run on {!Rfloor_trace.subtracer}s with private
+          reports; the caller's sink sees their events under worker
+          ids shifted by [(i+1)*1000], plus the race-level events (one
           [Stopped "cancel"] per cancelled losing member, the winner
           announcement). *)
   metrics : Rfloor_metrics.Registry.t;

@@ -1,7 +1,7 @@
 (** Concurrency-safe metrics registry: counters, gauges, fixed-bucket
     histograms.
 
-    Cost model (the same bar as {!Rfloor_trace}'s null sink): every
+    Cost model (the same bar as {!Rfloor_trace.disabled}): every
     instrument handle obtained from {!null} is a [Noop] constructor, so
     a hot-path update ([Counter.incr], [Histogram.observe]) on a dead
     registry is a single load-and-branch — no atomic, no allocation.

@@ -169,10 +169,8 @@ let solve ?(options = default_options) ?(workers = 1) ?incumbent lp =
     Sync.Mutex.unlock qm;
     r
   in
-  (* Per-worker node/iteration tallies: each slot is touched only by
-     its own domain, then read after the joins (the iteration total is
-     their sum). *)
-  let local_nodes = Array.make workers 0 in
+  (* Per-worker simplex-iteration tallies: each slot is touched only by
+     its own domain, then summed after the joins. *)
   let local_iters = Array.make workers 0 in
   (* Lock-free incumbent improvement: retry the CAS until we either
      install the better point or observe someone else already did. *)
@@ -264,7 +262,6 @@ let solve ?(options = default_options) ?(workers = 1) ?incumbent lp =
           if node.t_bound >= cutoff () then () (* pruned by bound *)
           else begin
             ignore (Sync.Atomic.fetch_and_add nodes 1);
-            local_nodes.(w) <- local_nodes.(w) + 1;
             Rfloor_trace.node_explored trace ~iters:local_iters.(w) ~worker:w
               ~depth:node.t_depth ~bound:(unkey node.t_bound);
             let warm = if options.warm_lp then node.t_basis else None in
@@ -323,15 +320,12 @@ let solve ?(options = default_options) ?(workers = 1) ?incumbent lp =
         end
     done
   in
-  (* Steal and idle counters describe the pool; a lone worker's claim
-     of the root and its final empty claim are not steals. *)
+  (* Idle events describe the pool: a lone worker's final empty claim
+     is not idleness. *)
   let rec worker_loop w idle_spins =
     if stop_requested () then ()
     else begin
-      let claimed = try_claim () in
-      if workers > 1 then
-        Rfloor_trace.steal_attempt trace ~success:(claimed <> None);
-      match claimed with
+      match try_claim () with
       | Some t ->
         Fun.protect
           ~finally:(fun () -> Sync.Atomic.decr active)
@@ -356,10 +350,6 @@ let solve ?(options = default_options) ?(workers = 1) ?incumbent lp =
   in
   worker_loop 0 0;
   List.iter Sync.Domain.join domains;
-  for w = 0 to workers - 1 do
-    Rfloor_trace.add_worker_totals trace ~worker:w ~nodes:local_nodes.(w)
-      ~iterations:local_iters.(w)
-  done;
   (* every worker has joined: the deque is private again *)
   let leftover = List.of_seq (Queue.to_seq queue) in
   let final = Sync.Atomic.get inc in

@@ -1004,9 +1004,8 @@ let try_warm ~max_iters ~warm ~updates ~trace ~worker ~wlb ~wub
 (* ------------------------------------------------------------------ *)
 (* Public entry points *)
 
-(* [f ~updates] runs one LP solve; when [trace] is enabled the solve
-   is reported as one [Lp_solved] event.  A null-sink solve reads no
-   clock. *)
+(* [f ~updates] runs one LP solve, reported as one [Lp_solved] event
+   unless [trace] is disabled; a disabled solve reads no clock. *)
 let reported ~trace ~worker f =
   let updates = ref 0 in
   if not (Rfloor_trace.enabled trace) then f ~updates

@@ -390,8 +390,6 @@ let search ~options ~mode part (spec : Spec.t) entities =
     | Found_one -> ()
   end;
   let elapsed = Sys.time () -. t0 in
-  Rfloor_trace.add_worker_totals options.trace ~worker:0 ~nodes:!nodes
-    ~iterations:0;
   ( !best_plan,
     (if !best_waste = max_int then None else Some !best_waste),
     (if !best_wl = infinity then None else Some !best_wl),

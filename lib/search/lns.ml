@@ -305,7 +305,6 @@ let solve ?(options = default_options) part (spec : Spec.t) =
             end
           end
         done);
-  T.add_worker_totals trace ~worker:0 ~nodes:!iters ~iterations:0;
   let plan = Option.map plan_of !best in
   let plan = Option.map (Engine.add_soft_areas part spec) plan in
   {

@@ -1,5 +1,6 @@
 (* Structured solver observability: typed events, pluggable sinks,
-   atomic metrics.  See rfloor_trace.mli for the cost model.  All
+   and a report that folds the events a tracer emits.  See
+   rfloor_trace.mli for the cost model.  All
    synchronization goes through the instrumented Rfloor_sync layer so
    the concheck race detector can observe it. *)
 
@@ -515,71 +516,29 @@ module Ring = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Metrics (internal) *)
+(* Span pairing *)
 
-module Metrics = struct
-  let max_depth_bucket = 64
+module Spans = struct
+  (* (worker, phase) -> start times of its open spans, innermost first *)
+  type t = (int * Event.phase, float list) Hashtbl.t
 
-  type t = {
-    incumbents : int Sync.Atomic.t;
-    cuts : int Sync.Atomic.t;
-    steal_attempts : int Sync.Atomic.t;
-    steal_successes : int Sync.Atomic.t;
-    tasks_donated : int Sync.Atomic.t;
-    idle_events : int Sync.Atomic.t;
-    restarts : int Sync.Atomic.t;
-    warnings : int Sync.Atomic.t;
-    m : Sync.Mutex.t;
-    (* phase -> (seconds, completed spans), kept in order of first use *)
-    phases : (Event.phase * (float * int)) list Sync.Shared.t;
-    (* worker -> (nodes, simplex iterations) *)
-    workers : (int * (int * int)) list Sync.Shared.t;
-    depth_hist : int Sync.Atomic.t array;
-  }
+  let create () : t = Hashtbl.create 8
 
-  let create () =
-    {
-      incumbents = Sync.Atomic.make 0;
-      cuts = Sync.Atomic.make 0;
-      steal_attempts = Sync.Atomic.make 0;
-      steal_successes = Sync.Atomic.make 0;
-      tasks_donated = Sync.Atomic.make 0;
-      idle_events = Sync.Atomic.make 0;
-      restarts = Sync.Atomic.make 0;
-      warnings = Sync.Atomic.make 0;
-      m = Sync.Mutex.create ~name:"trace.metrics" ();
-      phases = Sync.Shared.make ~name:"trace.metrics.phases" [];
-      workers = Sync.Shared.make ~name:"trace.metrics.workers" [];
-      depth_hist = Array.init max_depth_bucket (fun _ -> Sync.Atomic.make 0);
-    }
-
-  let add_phase t phase dt =
-    Sync.Mutex.protect t.m (fun () ->
-        let phases = Sync.Shared.get t.phases in
-        match List.assoc_opt phase phases with
-        | Some (s, c) ->
-          Sync.Shared.set t.phases
-            (List.map
-               (fun (p, v) ->
-                 if p = phase then (p, (s +. dt, c + 1)) else (p, v))
-               phases)
-        | None -> Sync.Shared.set t.phases (phases @ [ (phase, (dt, 1)) ]))
-
-  let add_worker t worker nodes iters =
-    Sync.Mutex.protect t.m (fun () ->
-        let workers = Sync.Shared.get t.workers in
-        match List.assoc_opt worker workers with
-        | Some (n, i) ->
-          Sync.Shared.set t.workers
-            (List.map
-               (fun (w, v) ->
-                 if w = worker then (w, (n + nodes, i + iters)) else (w, v))
-               workers)
-        | None -> Sync.Shared.set t.workers ((worker, (nodes, iters)) :: workers))
-
-  let bump_depth t depth =
-    let b = if depth < 0 then 0 else min depth (max_depth_bucket - 1) in
-    Sync.Atomic.incr t.depth_hist.(b)
+  let feed (t : t) (e : Event.t) =
+    match e.Event.payload with
+    | Event.Span_start p ->
+      let k = (e.Event.worker, p) in
+      Hashtbl.replace t k
+        (e.Event.at :: Option.value ~default:[] (Hashtbl.find_opt t k));
+      None
+    | Event.Span_end p -> (
+      let k = (e.Event.worker, p) in
+      match Hashtbl.find_opt t k with
+      | Some (t0 :: rest) ->
+        if rest = [] then Hashtbl.remove t k else Hashtbl.replace t k rest;
+        Some (p, e.Event.at -. t0)
+      | Some [] | None -> None)
+    | _ -> None
 end
 
 (* ------------------------------------------------------------------ *)
@@ -615,8 +574,6 @@ module Report = struct
     elapsed : float;
     incumbents : int;
     cuts : int;
-    steal_attempts : int;
-    steal_successes : int;
     tasks_donated : int;
     idle_events : int;
     restarts : int;
@@ -634,8 +591,6 @@ module Report = struct
       elapsed = 0.;
       incumbents = 0;
       cuts = 0;
-      steal_attempts = 0;
-      steal_successes = 0;
       tasks_donated = 0;
       idle_events = 0;
       restarts = 0;
@@ -646,13 +601,89 @@ module Report = struct
       gc = no_gc;
     }
 
+  (* The running fold of one tracer's events: [totals] holds the
+     counters and phases, the tables the per-node tallies.  Only [fold]
+     and [snapshot] touch it, both under [m], so the workers of a
+     parallel solve share one. *)
+  type acc = {
+    m : Sync.Mutex.t;
+    mutable totals : t;
+    spans : Spans.t;
+    (* worker -> (nodes, simplex iterations) *)
+    per_worker : (int, int * int) Hashtbl.t;
+    (* depth -> nodes *)
+    depths : (int, int) Hashtbl.t;
+  }
+
+  let acc () =
+    {
+      m = Sync.Mutex.create ~name:"trace.report" ();
+      totals = empty;
+      spans = Spans.create ();
+      per_worker = Hashtbl.create 8;
+      depths = Hashtbl.create 16;
+    }
+
+  (* one more completed span; phases stay in order of first completion *)
+  let add_phase phases phase dt =
+    if List.exists (fun s -> s.ps_phase = phase) phases then
+      List.map
+        (fun s ->
+          if s.ps_phase <> phase then s
+          else
+            { s with ps_seconds = s.ps_seconds +. dt; ps_count = s.ps_count + 1 })
+        phases
+    else phases @ [ { ps_phase = phase; ps_seconds = dt; ps_count = 1 } ]
+
+  let bump tbl k ~default f =
+    Hashtbl.replace tbl k (f (Option.value ~default (Hashtbl.find_opt tbl k)))
+
+  let fold a (e : Event.t) =
+    let w = e.Event.worker in
+    Sync.Mutex.protect a.m @@ fun () ->
+    let r = a.totals in
+    match e.Event.payload with
+    | Event.Span_start _ | Event.Span_end _ -> (
+      match Spans.feed a.spans e with
+      | Some (p, dt) -> a.totals <- { r with phases = add_phase r.phases p dt }
+      | None -> ())
+    | Event.Node_explored { depth; _ } ->
+      bump a.per_worker w ~default:(0, 0) (fun (n, i) -> (n + 1, i));
+      bump a.depths depth ~default:0 succ
+    | Event.Lp_solved { iters; _ } ->
+      bump a.per_worker w ~default:(0, 0) (fun (n, i) -> (n, i + iters))
+    | Event.Incumbent _ -> a.totals <- { r with incumbents = r.incumbents + 1 }
+    | Event.Cut_added { cuts; _ } -> a.totals <- { r with cuts = r.cuts + cuts }
+    | Event.Steal { tasks } ->
+      a.totals <- { r with tasks_donated = r.tasks_donated + tasks }
+    | Event.Worker_idle -> a.totals <- { r with idle_events = r.idle_events + 1 }
+    | Event.Restart _ -> a.totals <- { r with restarts = r.restarts + 1 }
+    | Event.Warning _ -> a.totals <- { r with warnings = r.warnings + 1 }
+    | Event.Stopped _ | Event.Lp_refactor _ | Event.Lp_warm _
+    | Event.Presolved _ | Event.Move _ | Event.Message _ -> ()
+
+  let snapshot a ~nodes ~simplex_iterations ~elapsed ~gc =
+    let sorted tbl = List.sort compare (List.of_seq (Hashtbl.to_seq tbl)) in
+    Sync.Mutex.protect a.m @@ fun () ->
+    {
+      a.totals with
+      nodes;
+      simplex_iterations;
+      elapsed;
+      workers =
+        List.map
+          (fun (w, (n, i)) -> { ws_worker = w; ws_nodes = n; ws_iterations = i })
+          (sorted a.per_worker);
+      depth_histogram = sorted a.depths;
+      gc;
+    }
+
   let pp ppf r =
     Format.fprintf ppf
       "nodes %d  simplex iterations %d  elapsed %.3fs@.incumbents %d  cuts %d  \
-       steals %d/%d (tasks %d)  idle %d  restarts %d  warnings %d@."
+       tasks donated %d  idle %d  restarts %d  warnings %d@."
       r.nodes r.simplex_iterations r.elapsed r.incumbents r.cuts
-      r.steal_successes r.steal_attempts r.tasks_donated r.idle_events
-      r.restarts r.warnings;
+      r.tasks_donated r.idle_events r.restarts r.warnings;
     if r.gc <> no_gc then
       Format.fprintf ppf
         "gc: %d minor / %d major collections, %.3g promoted words, top heap \
@@ -689,10 +720,9 @@ module Report = struct
     let b = Buffer.create 512 in
     Buffer.add_string b
       (Printf.sprintf
-         "{\"nodes\":%d,\"simplex_iterations\":%d,\"elapsed\":%.6f,\"incumbents\":%d,\"cuts\":%d,\"steal_attempts\":%d,\"steal_successes\":%d,\"tasks_donated\":%d,\"idle_events\":%d,\"restarts\":%d,\"warnings\":%d"
+         "{\"nodes\":%d,\"simplex_iterations\":%d,\"elapsed\":%.6f,\"incumbents\":%d,\"cuts\":%d,\"tasks_donated\":%d,\"idle_events\":%d,\"restarts\":%d,\"warnings\":%d"
          r.nodes r.simplex_iterations r.elapsed r.incumbents r.cuts
-         r.steal_attempts r.steal_successes r.tasks_donated r.idle_events
-         r.restarts r.warnings);
+         r.tasks_donated r.idle_events r.restarts r.warnings);
     Buffer.add_string b ",\"phases\":[";
     List.iteri
       (fun i p ->
@@ -727,179 +757,102 @@ end
 (* ------------------------------------------------------------------ *)
 (* Tracers *)
 
-type t = {
-  t_live : bool;
-  t_sink : sink;
-  t_epoch : int64;
-  t_m : Metrics.t;
-  t_gc : Gc.stat;  (* quick_stat baseline at creation; report deltas it *)
-}
+(* An enabled tracer is a clock epoch, a sink and the report fold:
+   every event it emits is folded into [report], then forwarded to the
+   sink.  [Disabled] does nothing at all. *)
+type t =
+  | Disabled
+  | Enabled of {
+      epoch : int64;
+      sink : sink;
+      report : Report.acc;
+      gc0 : Gc.stat;  (* quick_stat baseline at creation; report deltas it *)
+    }
 
-let disabled =
-  { t_live = false; t_sink = Null; t_epoch = 0L; t_m = Metrics.create ();
-    t_gc = Gc.quick_stat () }
+let disabled = Disabled
 
-let create ?(sink = Null) () =
-  { t_live = true; t_sink = sink; t_epoch = clock_ns ();
-    t_m = Metrics.create (); t_gc = Gc.quick_stat () }
+let make ~epoch sink =
+  Enabled { epoch; sink; report = Report.acc (); gc0 = Gc.quick_stat () }
 
-let live t = t.t_live
-let enabled t = t.t_live && not (Sink.is_null t.t_sink)
+let create ?(sink = Null) () = make ~epoch:(clock_ns ()) sink
 
-(* A live tracer whose events are forwarded to [parent]'s sink with the
-   worker id shifted by [worker_base], sharing the parent's epoch so the
-   timestamps land on one clock.  Metrics stay private to the child —
-   portfolio members report their own totals.  When the parent has no
-   sink there is nothing to forward to, so this degrades to [create ()]
-   (a plain null-sink live tracer). *)
+let enabled = function Disabled -> false | Enabled _ -> true
+
+(* The child forwards to [parent]'s sink with the worker id shifted by
+   [worker_base], on the parent's epoch so the timestamps land on one
+   clock; its report fold stays private, so portfolio members report
+   their own totals. *)
 let subtracer parent ~worker_base =
-  if not (enabled parent) then create ()
-  else
-    let sink =
-      Sink.of_fn (fun (e : Event.t) ->
-          Sink.send parent.t_sink
-            { e with Event.worker = e.Event.worker + worker_base })
-    in
-    { t_live = true; t_sink = sink; t_epoch = parent.t_epoch;
-      t_m = Metrics.create (); t_gc = Gc.quick_stat () }
+  match parent with
+  | Enabled { sink; epoch; _ } when not (Sink.is_null sink) ->
+    make ~epoch
+      (Sink.of_fn (fun (e : Event.t) ->
+           Sink.send sink
+             { e with Event.worker = e.Event.worker + worker_base }))
+  | Enabled _ | Disabled -> create ()
 
-let now t =
-  if not t.t_live then 0.
-  else Int64.to_float (Int64.sub (clock_ns ()) t.t_epoch) *. 1e-9
+let now = function
+  | Disabled -> 0.
+  | Enabled { epoch; _ } ->
+    Int64.to_float (Int64.sub (clock_ns ()) epoch) *. 1e-9
 
-let send t worker payload =
-  Sink.send t.t_sink { Event.at = now t; worker; payload }
-
-let emit t ?(worker = 0) payload = if enabled t then send t worker payload
+let emit t ?(worker = 0) payload =
+  match t with
+  | Disabled -> ()
+  | Enabled { sink; report; _ } ->
+    let e = { Event.at = now t; worker; payload } in
+    Report.fold report e;
+    Sink.send sink e
 
 let span t ?(worker = 0) phase f =
-  if not t.t_live then f ()
-  else begin
-    let t0 = now t in
-    if enabled t then send t worker (Event.Span_start phase);
-    Fun.protect
-      ~finally:(fun () ->
-        Metrics.add_phase t.t_m phase (now t -. t0);
-        if enabled t then send t worker (Event.Span_end phase))
-      f
-  end
+  match t with
+  | Disabled -> f ()
+  | Enabled _ ->
+    emit t ~worker (Event.Span_start phase);
+    Fun.protect ~finally:(fun () -> emit t ~worker (Event.Span_end phase)) f
 
 let messagef t ?(worker = 0) fmt =
-  Format.kasprintf
-    (fun msg -> if enabled t then send t worker (Event.Message msg))
-    fmt
+  match t with
+  | Disabled -> Format.ikfprintf ignore Format.err_formatter fmt
+  | Enabled _ ->
+    Format.kasprintf (fun msg -> emit t ~worker (Event.Message msg)) fmt
 
-let warn t ?(worker = 0) msg =
-  if t.t_live then begin
-    Sync.Atomic.incr t.t_m.Metrics.warnings;
-    if enabled t then send t worker (Event.Warning msg)
-  end
+let warn t ?(worker = 0) msg = emit t ~worker (Event.Warning msg)
 
 let node_explored t ~iters ~worker ~depth ~bound =
-  if enabled t then begin
-    Metrics.bump_depth t.t_m depth;
-    send t worker (Event.Node_explored { depth; bound; iters })
-  end
+  if enabled t then emit t ~worker (Event.Node_explored { depth; bound; iters })
 
 let incumbent t ~worker ~objective ~node =
-  if t.t_live then begin
-    Sync.Atomic.incr t.t_m.Metrics.incumbents;
-    if enabled t then send t worker (Event.Incumbent { objective; node })
-  end
+  emit t ~worker (Event.Incumbent { objective; node })
 
 let cuts_added t ~worker ~rounds ~cuts =
-  if t.t_live && cuts > 0 then begin
-    ignore (Sync.Atomic.fetch_and_add t.t_m.Metrics.cuts cuts);
-    if enabled t then send t worker (Event.Cut_added { rounds; cuts })
-  end
+  if cuts > 0 then emit t ~worker (Event.Cut_added { rounds; cuts })
 
 let steal t ~worker ~tasks =
-  if t.t_live && tasks > 0 then begin
-    ignore (Sync.Atomic.fetch_and_add t.t_m.Metrics.tasks_donated tasks);
-    if enabled t then send t worker (Event.Steal { tasks })
-  end
+  if tasks > 0 then emit t ~worker (Event.Steal { tasks })
 
-let steal_attempt t ~success =
-  if t.t_live then begin
-    Sync.Atomic.incr t.t_m.Metrics.steal_attempts;
-    if success then Sync.Atomic.incr t.t_m.Metrics.steal_successes
-  end
-
-let worker_idle t ~worker =
-  if t.t_live then begin
-    Sync.Atomic.incr t.t_m.Metrics.idle_events;
-    if enabled t then send t worker Event.Worker_idle
-  end
-
-let restart t ?(worker = 0) stage =
-  if t.t_live then begin
-    Sync.Atomic.incr t.t_m.Metrics.restarts;
-    if enabled t then send t worker (Event.Restart { stage })
-  end
-
-let stopped t ?(worker = 0) reason =
-  if enabled t then send t worker (Event.Stopped { reason })
+let worker_idle t ~worker = emit t ~worker Event.Worker_idle
+let restart t ?(worker = 0) stage = emit t ~worker (Event.Restart { stage })
+let stopped t ?(worker = 0) reason = emit t ~worker (Event.Stopped { reason })
 
 let move t ?(worker = 0) ~module_name ~src ~dst () =
-  if enabled t then send t worker (Event.Move { module_name; src; dst })
-
-let add_worker_totals t ~worker ~nodes ~iterations =
-  if t.t_live then Metrics.add_worker t.t_m worker nodes iterations
+  emit t ~worker (Event.Move { module_name; src; dst })
 
 let report t ~nodes ~simplex_iterations ~elapsed =
-  let m = t.t_m in
-  Sync.Mutex.lock m.Metrics.m;
-  let phases =
-    List.map
-      (fun (p, (s, c)) ->
-        { Report.ps_phase = p; ps_seconds = s; ps_count = c })
-      (Sync.Shared.get m.Metrics.phases)
-  in
-  let workers =
-    List.map
-      (fun (w, (n, i)) ->
-        { Report.ws_worker = w; ws_nodes = n; ws_iterations = i })
-      (List.sort compare (Sync.Shared.get m.Metrics.workers))
-  in
-  Sync.Mutex.unlock m.Metrics.m;
-  let depth_histogram =
-    let out = ref [] in
-    for b = Metrics.max_depth_bucket - 1 downto 0 do
-      let c = Sync.Atomic.get m.Metrics.depth_hist.(b) in
-      if c > 0 then out := (b, c) :: !out
-    done;
-    !out
-  in
-  let gc =
-    if not t.t_live then Report.no_gc
-    else
-      let g = Gc.quick_stat () in
-      {
-        Report.gc_minor_collections =
-          g.Gc.minor_collections - t.t_gc.Gc.minor_collections;
-        gc_major_collections =
-          g.Gc.major_collections - t.t_gc.Gc.major_collections;
-        gc_promoted_words = g.Gc.promoted_words -. t.t_gc.Gc.promoted_words;
-        gc_top_heap_words = g.Gc.top_heap_words;
-      }
-  in
-  {
-    Report.nodes;
-    simplex_iterations;
-    elapsed;
-    incumbents = Sync.Atomic.get m.Metrics.incumbents;
-    cuts = Sync.Atomic.get m.Metrics.cuts;
-    steal_attempts = Sync.Atomic.get m.Metrics.steal_attempts;
-    steal_successes = Sync.Atomic.get m.Metrics.steal_successes;
-    tasks_donated = Sync.Atomic.get m.Metrics.tasks_donated;
-    idle_events = Sync.Atomic.get m.Metrics.idle_events;
-    restarts = Sync.Atomic.get m.Metrics.restarts;
-    warnings = Sync.Atomic.get m.Metrics.warnings;
-    phases;
-    workers;
-    depth_histogram;
-    gc;
-  }
+  match t with
+  | Disabled -> { Report.empty with nodes; simplex_iterations; elapsed }
+  | Enabled { report; gc0; _ } ->
+    let g = Gc.quick_stat () in
+    Report.snapshot report ~nodes ~simplex_iterations ~elapsed
+      ~gc:
+        {
+          Report.gc_minor_collections =
+            g.Gc.minor_collections - gc0.Gc.minor_collections;
+          gc_major_collections =
+            g.Gc.major_collections - gc0.Gc.major_collections;
+          gc_promoted_words = g.Gc.promoted_words -. gc0.Gc.promoted_words;
+          gc_top_heap_words = g.Gc.top_heap_words;
+        }
 
 (* ------------------------------------------------------------------ *)
 (* JSONL validation *)

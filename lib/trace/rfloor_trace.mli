@@ -2,22 +2,20 @@
 
     A {e tracer} ({!type:t}) is the handle the solvers write to: typed
     events with monotonic timestamps and worker ids flow to a pluggable
-    {!Sink} (null, human text, JSONL, in-memory ring buffer), while a
-    set of atomic counters and histograms ({!Metrics}) accumulates
-    per-phase wall time, incumbent improvements, steal statistics and
-    per-worker node totals, aggregated into a {!Report.t} that callers
-    attach to their outcome.
+    {!Sink} (null, human text, JSONL, in-memory ring buffer).  The
+    tracer keeps no counters of its own: its {!Report.t} (per-phase wall
+    time, incumbents, cut rows, donated tasks, per-worker node and
+    iteration totals, node depths) is one more fold of the events it
+    emits, so the report and every sink see the same stream.
 
-    Cost model: with the null sink, {!enabled} is false and every
-    per-node call ({!node_explored}) is a single load-and-branch — no
-    event is allocated, no histogram is touched.  The handful of
-    per-solve calls (spans, incumbents, steals) always update the
-    tracer's metrics so the final {!Report.t} is populated even when no
-    sink is attached.  {!disabled} is a dead tracer for defaulted
-    options: it records nothing at all.
+    Cost model: {!disabled} costs one load-and-branch per call and
+    records nothing.  Every other tracer builds every event, folds it
+    into its report and hands it to its sink, whether or not that sink
+    is null.
 
-    Sinks serialize concurrent emitters behind a per-sink mutex, so one
-    tracer can be shared by all domains of a parallel solve. *)
+    Sinks serialize concurrent emitters behind a per-sink mutex, and
+    the report fold has its own, so one tracer can be shared by all
+    domains of a parallel solve. *)
 
 (** {1 Events} *)
 
@@ -161,7 +159,23 @@ module Ring : sig
   val clear : t -> unit
 end
 
-(** {1 Metrics and reports} *)
+(** {1 Span pairing} *)
+
+module Spans : sig
+  (** Pairs [Span_start]/[Span_end] events last-in-first-out per worker
+      and phase: the one pairing rule behind {!Report.t}'s phases and
+      the metrics fold's [rfloor_phase_seconds].  Not synchronized. *)
+
+  type t
+
+  val create : unit -> t
+
+  val feed : t -> Event.t -> (Event.phase * float) option
+  (** [Some (phase, seconds)] when the event closes an open span of its
+      worker and phase; [None] for every other event. *)
+end
+
+(** {1 Reports} *)
 
 module Report : sig
   type phase_stat = {
@@ -192,16 +206,18 @@ module Report : sig
     elapsed : float;
     incumbents : int;  (** incumbent improvements *)
     cuts : int;  (** cut rows added: model-build and root Gomory *)
-    steal_attempts : int;
-    steal_successes : int;
     tasks_donated : int;  (** subproblems pushed to the shared deque *)
     idle_events : int;
     restarts : int;
     warnings : int;
-    phases : phase_stat list;  (** phase order of first start *)
-    workers : worker_stat list;  (** ascending worker id *)
+    phases : phase_stat list;
+        (** spans paired last-in-first-out per worker and phase, in the
+            order each phase first completed a span *)
+    workers : worker_stat list;
+        (** per-worker [Node_explored] count and summed [Lp_solved]
+            iterations, ascending worker id *)
     depth_histogram : (int * int) list;
-        (** (depth, nodes at that depth), only when a sink was enabled *)
+        (** (depth, [Node_explored] events at that depth), ascending *)
     gc : gc_stat;
         (** [Gc.quick_stat] deltas between tracer creation and
             {!val:report} — allocation pressure of the solve itself *)
@@ -218,85 +234,83 @@ end
 type t
 
 val disabled : t
-(** A dead tracer: never emits, never counts.  The default in solver
-    options that are constructed without one. *)
+(** The tracer that does nothing: never emits, never counts.  The
+    default in solver options that are constructed without one. *)
 
 val create : ?sink:sink -> unit -> t
-(** A live tracer; its epoch is the creation instant.  With the default
-    null sink no events are emitted, but metrics still accumulate so
-    {!report} stays meaningful. *)
+(** An enabled tracer; its epoch is the creation instant.  Every event
+    is folded into its {!report} and then sent to [sink] (default
+    {!Sink.null}). *)
 
 val subtracer : t -> worker_base:int -> t
-(** [subtracer parent ~worker_base] is a live tracer that forwards its
-    events to [parent]'s sink with every worker id shifted by
+(** [subtracer parent ~worker_base] is an enabled tracer that forwards
+    its events to [parent]'s sink with every worker id shifted by
     [worker_base], on the parent's clock.  Concurrent sub-solves (e.g.
     portfolio members) can thus share one sink without colliding worker
     ids: give member [i] base [(i+1)*1000] and per-worker span nesting
-    stays balanced.  Metrics are private to the child.  If [parent] has
-    no sink this is just {!create}[ ()]. *)
+    stays balanced.  The child's report is private: its events do not
+    reach [parent]'s report.  If [parent] has no sink this is just
+    {!create}[ ()]. *)
 
-val live : t -> bool
 val enabled : t -> bool
-(** [enabled t] iff events actually reach a sink — the guard to test
-    before any per-node work. *)
+(** [enabled t] iff [t] is not {!disabled} — the guard to test before
+    building an event's payload on a hot path. *)
 
 val now : t -> float
 (** Monotonic seconds since the tracer's epoch (0. for {!disabled}). *)
 
 val emit : t -> ?worker:int -> Event.payload -> unit
-(** Sends one event to the sink when {!enabled}; otherwise free. *)
+(** Folds one event into the report and sends it to the sink; a no-op
+    on {!disabled}.  The helpers below are each one [emit]. *)
 
 val span : t -> ?worker:int -> Event.phase -> (unit -> 'a) -> 'a
 (** [span t phase f] runs [f] bracketed by [Span_start]/[Span_end]
-    (exception-safe) and charges the elapsed wall time to the phase in
-    the metrics. *)
+    (exception-safe); the report charges the time between them to the
+    phase. *)
 
 val messagef :
   t -> ?worker:int -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formats and emits a [Message] event; the formatting cost is only
-    paid when {!enabled}. *)
+(** Formats and emits a [Message] event; {!disabled} skips the
+    formatting. *)
 
 val warn : t -> ?worker:int -> string -> unit
-(** Emits a [Warning] event (when enabled) and always bumps the warning
-    counter of a live tracer. *)
 
 val node_explored :
   t -> iters:int -> worker:int -> depth:int -> bound:float -> unit
-(** Per-node event + depth histogram.  No-op unless {!enabled} — the
-    caller's own node counters remain the source of truth for totals
-    (see {!report}).  [iters] is the worker's cumulative
-    simplex-iteration count (0 when unknown), letting progress
-    consumers report LP work without a second event stream. *)
+(** One [Node_explored] event: the report's per-worker node count and
+    depth histogram come from it.  The caller's own node counter stays
+    the source of the report's [nodes] total (see {!report}).  [iters]
+    is the worker's cumulative simplex-iteration count (0 when
+    unknown), letting progress consumers report LP work without a
+    second event stream. *)
 
 val incumbent : t -> worker:int -> objective:float -> node:int -> unit
+
 val cuts_added : t -> worker:int -> rounds:int -> cuts:int -> unit
+(** Emits nothing when [cuts] is 0. *)
+
 val steal : t -> worker:int -> tasks:int -> unit
-val steal_attempt : t -> success:bool -> unit
-(** Counter only; emits no event. *)
+(** Emits nothing when [tasks] is 0. *)
 
 val worker_idle : t -> worker:int -> unit
 val restart : t -> ?worker:int -> string -> unit
 
 val stopped : t -> ?worker:int -> string -> unit
-(** Emits a [Stopped] event (when enabled) naming why the search ended
-    early; solvers emit it once per early stop. *)
+(** Emits a [Stopped] event naming why the search ended early; solvers
+    emit it once per early stop. *)
 
 val move :
   t -> ?worker:int -> module_name:string -> src:string -> dst:string ->
   unit -> unit
-(** Emits a [Move] event (when enabled) recording one executed online
-    relocation. *)
-
-val add_worker_totals : t -> worker:int -> nodes:int -> iterations:int -> unit
-(** Called once per worker at the end of a solve; totals accumulate if
-    a worker id reports twice (e.g. one per lexicographic stage). *)
+(** Emits a [Move] event recording one executed online relocation. *)
 
 val report :
   t -> nodes:int -> simplex_iterations:int -> elapsed:float -> Report.t
-(** Snapshot of the tracer's metrics.  [nodes], [simplex_iterations]
-    and [elapsed] come from the caller's own counters so the report
-    totals are exact even when tracing was disabled.  {!disabled}
-    yields {!Report.empty} with those totals filled in. *)
+(** The fold of every event the tracer has emitted so far (see the
+    field docs of {!Report.t}), plus the [Gc.quick_stat] deltas since
+    its creation.  [nodes], [simplex_iterations] and [elapsed] come
+    from the caller's own counters.  {!disabled} yields {!Report.empty}
+    with those totals filled in. *)
 
 (** {1 JSONL validation} *)
 

@@ -361,7 +361,7 @@ let test_parallel_elapsed_soft () =
    (b) per-worker event counts match the report's per-worker totals,
    (c) every span opened by a worker is closed, (d) the report's
    headline totals equal the legacy result fields, and (e) a single
-   worker reports no steal attempts and no idle transitions. *)
+   worker emits no steal events and reports no idle transitions. *)
 let test_trace_coherence () =
   let seed = G.case_seed (G.base_seed ()) 4_000 in
   let lp = (G.milp_case ~seed).G.c_lp in
@@ -436,10 +436,16 @@ let test_trace_coherence () =
         report.Rfloor_trace.Report.simplex_iterations;
       Alcotest.(check (float 0.)) "report.elapsed" r.Bb.elapsed
         report.Rfloor_trace.Report.elapsed;
-      (* (e) the pool counters stay silent without a pool *)
+      (* (e) the pool events stay silent without a pool *)
       if workers = 1 then begin
-        Alcotest.(check int) "1 worker: no steal attempts" 0
-          report.Rfloor_trace.Report.steal_attempts;
+        Alcotest.(check int) "1 worker: no steal events" 0
+          (List.length
+             (List.filter
+                (fun (e : Rfloor_trace.Event.t) ->
+                  match e.Rfloor_trace.Event.payload with
+                  | Rfloor_trace.Event.Steal _ -> true
+                  | _ -> false)
+                events));
         Alcotest.(check int) "1 worker: no idle events" 0
           report.Rfloor_trace.Report.idle_events
       end)

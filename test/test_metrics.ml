@@ -322,6 +322,53 @@ let check_solver_metrics ~time_limit part spec =
     (o.Rfloor.Solver.report.T.Report.cuts > 0);
   Alcotest.(check int) "cuts_total = report cuts"
     o.Rfloor.Solver.report.T.Report.cuts (counter "rfloor_cuts_total");
+  (* the report is a fold of the same stream: its totals agree with
+     the registry's series *)
+  let report = o.Rfloor.Solver.report in
+  Alcotest.(check int) "incumbents_total = report incumbents"
+    report.T.Report.incumbents (counter "rfloor_incumbents_total");
+  let series name label =
+    List.sort compare
+      (List.filter_map
+         (function
+           | R.Snapshot.Counter { name = n; labels; value; _ } when n = name ->
+             Some (List.assoc label labels, value)
+           | R.Snapshot.Histogram h when h.name = name ->
+             Some (List.assoc label h.labels, h.count)
+           | _ -> None)
+         snap)
+  in
+  Alcotest.(check (list (pair string int)))
+    "phase span counts = phase_seconds counts"
+    (series "rfloor_phase_seconds" "phase")
+    (List.sort compare
+       (List.map
+          (fun (p : T.Report.phase_stat) ->
+            (E.phase_name p.T.Report.ps_phase, p.T.Report.ps_count))
+          report.T.Report.phases));
+  Alcotest.(check (list (pair string int))) "worker nodes = worker_nodes_total"
+    (series "rfloor_worker_nodes_total" "worker")
+    (List.sort compare
+       (List.map
+          (fun (w : T.Report.worker_stat) ->
+            (string_of_int w.T.Report.ws_worker, w.T.Report.ws_nodes))
+          report.T.Report.workers));
+  Alcotest.(check int) "worker iterations sum to the pivot total"
+    o.Rfloor.Solver.simplex_iterations
+    (List.fold_left
+       (fun a (w : T.Report.worker_stat) -> a + w.T.Report.ws_iterations)
+       0 report.T.Report.workers);
+  (* the same solve without a sink or a registry reports the same node
+     depths: the report does not depend on who listens *)
+  let quiet =
+    Rfloor.Solver.solve ~options:(Rfloor.Solver.Options.make ~time_limit ())
+      part spec
+  in
+  Alcotest.(check bool) "depth histogram populated" true
+    (report.T.Report.depth_histogram <> []);
+  Alcotest.(check (list (pair int int))) "depth histogram without a sink"
+    report.T.Report.depth_histogram
+    quiet.Rfloor.Solver.report.T.Report.depth_histogram;
   (snap, warm_nodes)
 
 let test_solver_populates_metrics () =

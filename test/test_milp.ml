@@ -790,15 +790,10 @@ let test_elapsed_monotone_on_stops () =
       Alcotest.failf "%s: elapsed %g exceeds the call's own wall time %g"
         what r.Branch_bound.elapsed outer
   in
-  let polls = ref 0 in
+  (* cancel at the first poll: it comes at the root, the one node
+     every seed's tree reaches, so the stop is observed on every seed *)
   let opts =
-    {
-      Branch_bound.default_options with
-      Branch_bound.cancel =
-        (fun () ->
-          incr polls;
-          !polls >= 5);
-    }
+    { Branch_bound.default_options with Branch_bound.cancel = (fun () -> true) }
   in
   let t0 = Unix.gettimeofday () in
   let r = Branch_bound.solve ~options:opts lp in

@@ -199,24 +199,14 @@ let test_text_concurrent () =
     lines
 
 let test_disabled_and_null () =
-  Alcotest.(check bool) "disabled not live" false (T.live T.disabled);
   Alcotest.(check bool) "disabled not enabled" false (T.enabled T.disabled);
   let null_tracer = T.create () in
-  Alcotest.(check bool) "null-sink tracer live" true (T.live null_tracer);
-  Alcotest.(check bool) "null-sink tracer not enabled" false
-    (T.enabled null_tracer);
-  (* metrics still accumulate on a live tracer with a null sink *)
+  (* the report folds the events of a tracer without a sink too *)
   T.incumbent null_tracer ~worker:0 ~objective:1. ~node:1;
   T.warn null_tracer "w";
-  T.add_worker_totals null_tracer ~worker:0 ~nodes:7 ~iterations:11;
   let r = T.report null_tracer ~nodes:7 ~simplex_iterations:11 ~elapsed:0.5 in
   Alcotest.(check int) "incumbents counted" 1 r.T.Report.incumbents;
   Alcotest.(check int) "warnings counted" 1 r.T.Report.warnings;
-  (match r.T.Report.workers with
-  | [ w ] ->
-    Alcotest.(check int) "worker nodes" 7 w.T.Report.ws_nodes;
-    Alcotest.(check int) "worker iterations" 11 w.T.Report.ws_iterations
-  | ws -> Alcotest.failf "expected 1 worker stat, got %d" (List.length ws));
   (* disabled yields empty metrics with the caller's totals filled in *)
   let rd = T.report T.disabled ~nodes:3 ~simplex_iterations:4 ~elapsed:0.1 in
   Alcotest.(check int) "disabled nodes" 3 rd.T.Report.nodes;
@@ -311,8 +301,8 @@ let test_report_json () =
   let tracer = T.create ~sink:(T.Ring.sink ring) () in
   T.span tracer E.Branch_bound (fun () ->
       T.node_explored tracer ~iters:0 ~worker:0 ~depth:2 ~bound:1.;
-      T.incumbent tracer ~worker:0 ~objective:5. ~node:1);
-  T.add_worker_totals tracer ~worker:0 ~nodes:1 ~iterations:9;
+      T.incumbent tracer ~worker:0 ~objective:5. ~node:1;
+      T.emit tracer (E.Lp_solved { iters = 9; updates = 0; seconds = 0. }));
   let r = T.report tracer ~nodes:1 ~simplex_iterations:9 ~elapsed:0.25 in
   let js = T.Report.to_json r in
   let has_sub needle =
@@ -326,7 +316,7 @@ let test_report_json () =
   has_sub "\"incumbents\":1";
   has_sub "\"phases\":";
   has_sub "\"branch_bound\"";
-  has_sub "\"workers\":";
+  has_sub "\"workers\":[{\"worker\":0,\"nodes\":1,\"iterations\":9}]";
   has_sub "\"depth_histogram\":";
   has_sub "\"gc\":{\"minor_collections\":"
 
